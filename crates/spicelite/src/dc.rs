@@ -2,8 +2,8 @@
 //! stepping.
 //!
 //! The solver relinearizes the circuit around the current guess
-//! ([`crate::mna::assemble`]), solves the linear system, damps the update
-//! and iterates to convergence. When plain Newton fails (strongly
+//! ([`crate::mna`]), solves the linear system, damps the update and
+//! iterates to convergence. When plain Newton fails (strongly
 //! nonlinear bias points), two homotopies are tried in order: *gmin
 //! stepping* (start with large leak conductances and relax them) and
 //! *source stepping* (ramp the supplies from zero).
@@ -11,7 +11,7 @@
 use crate::circuit::{Circuit, NodeId};
 use crate::error::{Result, SimError};
 use crate::linalg::vec_norm_inf;
-use crate::mna::{assemble, node_voltage, CapCompanion};
+use crate::mna::{node_voltage, CapCompanion, MnaSystem, StampProgram};
 
 /// Tolerances and iteration limits of the Newton solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,51 +85,149 @@ impl DcSolution {
     }
 }
 
-/// One full Newton solve (shared by DC and each transient step).
-///
-/// `time`/`cap_companions` select the analysis context; see
-/// [`crate::mna::assemble`].
-pub(crate) fn newton_solve(
-    circuit: &Circuit,
-    x0: &[f64],
-    time: Option<f64>,
-    cap_companions: Option<&[CapCompanion]>,
-    gmin: f64,
-    source_scale: f64,
-    opts: &SolverOptions,
-) -> Result<Vec<f64>> {
-    let mut x = x0.to_vec();
-    if x.is_empty() {
-        return Ok(x);
-    }
-    for _iter in 0..opts.max_iterations {
-        let mut sys = assemble(circuit, &x, time, cap_companions, gmin, source_scale);
-        let mut rhs = sys.z.clone();
-        sys.a.solve_in_place(&mut rhs)?;
-        // Damped update.
-        let mut max_delta = 0.0_f64;
-        for (xi, xn) in x.iter_mut().zip(&rhs) {
-            let mut delta = xn - *xi;
-            if delta > opts.max_step {
-                delta = opts.max_step;
-            } else if delta < -opts.max_step {
-                delta = -opts.max_step;
-            }
-            max_delta = max_delta.max(delta.abs());
-            *xi += delta;
-        }
-        if max_delta < opts.vtol + opts.reltol * vec_norm_inf(&x) {
-            return Ok(x);
+/// The Newton–Raphson solver of one analysis: the compiled circuit plus
+/// the system and iterate storage that every solve reuses (shared by DC
+/// and each transient step).
+pub(crate) struct Newton<'c> {
+    program: StampProgram<'c>,
+    sys: MnaSystem,
+    x: Vec<f64>,
+}
+
+impl<'c> Newton<'c> {
+    pub(crate) fn new(circuit: &'c Circuit) -> Self {
+        let program = StampProgram::compile(circuit);
+        let sys = program.system();
+        Newton {
+            program,
+            sys,
+            x: Vec::with_capacity(circuit.unknown_count()),
         }
     }
-    Err(SimError::NoConvergence {
-        analysis: if time.is_some() {
+
+    /// One full Newton solve from the guess `x0`.
+    ///
+    /// `time`/`cap_companions` select the analysis context; see
+    /// [`crate::mna::assemble`].
+    pub(crate) fn solve(
+        &mut self,
+        x0: &[f64],
+        time: Option<f64>,
+        cap_companions: Option<&[CapCompanion]>,
+        gmin: f64,
+        source_scale: f64,
+        opts: &SolverOptions,
+    ) -> Result<&[f64]> {
+        let analysis = if time.is_some() {
             "transient step"
         } else {
             "DC"
-        },
-        iterations: opts.max_iterations,
-    })
+        };
+        self.x.clear();
+        self.x.extend_from_slice(x0);
+        if self.x.is_empty() {
+            return Ok(&self.x);
+        }
+        for iter in 0..opts.max_iterations {
+            self.program.assemble_into(
+                &mut self.sys,
+                &self.x,
+                time,
+                cap_companions,
+                gmin,
+                source_scale,
+            );
+            // The right-hand side becomes the new iterate.
+            let MnaSystem { a, z, .. } = &mut self.sys;
+            a.solve_in_place(z)?;
+            // Damped update.
+            let mut max_delta = 0.0_f64;
+            for (xi, xn) in self.x.iter_mut().zip(&self.sys.z) {
+                let mut delta = xn - *xi;
+                if delta > opts.max_step {
+                    delta = opts.max_step;
+                } else if delta < -opts.max_step {
+                    delta = -opts.max_step;
+                }
+                // Clamping maps ±∞ to ±max_step, but a NaN passes through
+                // and `f64::max` would silently drop it.
+                if !delta.is_finite() {
+                    return Err(SimError::NoConvergence {
+                        analysis,
+                        iterations: iter + 1,
+                    });
+                }
+                max_delta = max_delta.max(delta.abs());
+                *xi += delta;
+            }
+            if max_delta < opts.vtol + opts.reltol * vec_norm_inf(&self.x) {
+                return Ok(&self.x);
+            }
+        }
+        Err(SimError::NoConvergence {
+            analysis,
+            iterations: opts.max_iterations,
+        })
+    }
+
+    /// The DC operating point from the guess `x0`: plain Newton, then
+    /// gmin stepping, then source stepping.
+    pub(crate) fn operating_point(
+        &mut self,
+        x0: Vec<f64>,
+        opts: &SolverOptions,
+    ) -> Result<Vec<f64>> {
+        // Plain Newton.
+        if let Ok(x) = self.solve(&x0, None, None, opts.gmin, 1.0, opts) {
+            return Ok(x.to_vec());
+        }
+
+        // Gmin stepping: solve with a large leak, relax geometrically.
+        let mut x = x0.clone();
+        let mut gmin = 1e-2;
+        let mut ok = true;
+        while gmin >= opts.gmin {
+            match self.solve(&x, None, None, gmin, 1.0, opts) {
+                Ok(sol) => x.copy_from_slice(sol),
+                Err(_) => {
+                    ok = false;
+                    break;
+                }
+            }
+            gmin /= 100.0;
+        }
+        if ok {
+            if let Ok(sol) = self.solve(&x, None, None, opts.gmin, 1.0, opts) {
+                return Ok(sol.to_vec());
+            }
+        }
+
+        // Source stepping: ramp the supplies from 10 % to 100 %.
+        let mut x = x0;
+        for step in 1..=10 {
+            let scale = step as f64 / 10.0;
+            let sol = self
+                .solve(&x, None, None, opts.gmin, scale, opts)
+                .map_err(|_| SimError::NoConvergence {
+                    analysis: "DC",
+                    iterations: opts.max_iterations,
+                })?;
+            x.copy_from_slice(sol);
+        }
+        Ok(x)
+    }
+}
+
+/// The unknown vector seeded from the circuit's declared initial
+/// conditions (zero elsewhere).
+pub(crate) fn initial_guess(circuit: &Circuit) -> Vec<f64> {
+    let mut x0 = vec![0.0; circuit.unknown_count()];
+    for &(node, v) in circuit.initial_conditions() {
+        if !node.is_ground() {
+            x0[node.index() - 1] = v;
+        }
+    }
+    x0
 }
 
 /// Solves the DC operating point of `circuit`.
@@ -144,52 +242,8 @@ pub(crate) fn newton_solve(
 /// source stepping all fail, or [`SimError::SingularMatrix`] for a
 /// structurally defective circuit.
 pub fn solve_dc(circuit: &Circuit, opts: &SolverOptions) -> Result<DcSolution> {
-    let n = circuit.unknown_count();
-    let n_nodes = circuit.unknown_node_count();
-    let mut x0 = vec![0.0; n];
-    for &(node, v) in circuit.initial_conditions() {
-        if !node.is_ground() {
-            x0[node.index() - 1] = v;
-        }
-    }
-
-    // Plain Newton.
-    if let Ok(x) = newton_solve(circuit, &x0, None, None, opts.gmin, 1.0, opts) {
-        return Ok(DcSolution::new(x, n_nodes));
-    }
-
-    // Gmin stepping: solve with a large leak, relax geometrically.
-    let mut x = x0.clone();
-    let mut gmin = 1e-2;
-    let mut ok = true;
-    while gmin >= opts.gmin {
-        match newton_solve(circuit, &x, None, None, gmin, 1.0, opts) {
-            Ok(sol) => x = sol,
-            Err(_) => {
-                ok = false;
-                break;
-            }
-        }
-        gmin /= 100.0;
-    }
-    if ok {
-        if let Ok(sol) = newton_solve(circuit, &x, None, None, opts.gmin, 1.0, opts) {
-            return Ok(DcSolution::new(sol, n_nodes));
-        }
-    }
-
-    // Source stepping: ramp the supplies from 10 % to 100 %.
-    let mut x = x0;
-    for step in 1..=10 {
-        let scale = step as f64 / 10.0;
-        x = newton_solve(circuit, &x, None, None, opts.gmin, scale, opts).map_err(|_| {
-            SimError::NoConvergence {
-                analysis: "DC",
-                iterations: opts.max_iterations,
-            }
-        })?;
-    }
-    Ok(DcSolution::new(x, n_nodes))
+    let x = Newton::new(circuit).operating_point(initial_guess(circuit), opts)?;
+    Ok(DcSolution::new(x, circuit.unknown_node_count()))
 }
 
 /// Sweeps the DC value of the named voltage source over `values`,
@@ -214,22 +268,15 @@ pub fn dc_sweep(
     let mut seed: Option<Vec<f64>> = None;
     for &v in values {
         work.set_vsource_value(source, v)?;
-        let x0 = match &seed {
-            Some(x) => x.clone(),
-            None => {
-                let mut x0 = vec![0.0; work.unknown_count()];
-                for &(node, ic) in work.initial_conditions() {
-                    if !node.is_ground() {
-                        x0[node.index() - 1] = ic;
-                    }
-                }
-                x0
-            }
-        };
+        let mut newton = Newton::new(&work);
         // Warm-started Newton; fall back to the full homotopy ladder.
-        let x = match newton_solve(&work, &x0, None, None, opts.gmin, 1.0, opts) {
-            Ok(x) => x,
-            Err(_) => solve_dc(&work, opts)?.unknowns().to_vec(),
+        let warm = seed
+            .as_deref()
+            .and_then(|x0| newton.solve(x0, None, None, opts.gmin, 1.0, opts).ok())
+            .map(<[f64]>::to_vec);
+        let x = match warm {
+            Some(x) => x,
+            None => newton.operating_point(initial_guess(&work), opts)?,
         };
         seed = Some(x.clone());
         out.push((v, DcSolution::new(x, n_nodes)));
@@ -464,6 +511,31 @@ mod tests {
         ckt.add_resistor("R1", a, Circuit::GROUND, 2.2e3).unwrap();
         let op = solve_dc(&ckt, &SolverOptions::default()).unwrap();
         assert!((op.voltage(&ckt, "a").unwrap() - 2.2).abs() < 1e-6);
+    }
+
+    #[test]
+    fn nan_update_is_not_converged() {
+        // A NaN source value reaches the right-hand side but not the
+        // matrix: the LU succeeds and returns an all-NaN update, which
+        // must not pass the convergence test.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.add_vsource("V1", a, Circuit::GROUND, Stimulus::Dc(f64::NAN))
+            .unwrap();
+        ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
+        let opts = SolverOptions::default();
+        let x0 = vec![0.0; ckt.unknown_count()];
+        assert!(matches!(
+            Newton::new(&ckt).solve(&x0, None, None, opts.gmin, 1.0, &opts),
+            Err(SimError::NoConvergence {
+                analysis: "DC",
+                iterations: 1
+            })
+        ));
+        match solve_dc(&ckt, &opts) {
+            Err(SimError::NoConvergence { .. }) => {}
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Circuit matrices at this scale (a ring oscillator is a few dozen
 //! unknowns) are small and only mildly sparse, so a dense LU with partial
-//! pivoting is both simple and fast. The factorization is done in place;
-//! [`Matrix::solve_in_place`] destroys the matrix, which is fine because
-//! MNA rebuilds it every Newton iteration.
+//! pivoting is both simple and fast. The factorization is done in place:
+//! [`Matrix::solve_in_place`] overwrites the matrix with its factors, and
+//! the Newton loop clears and re-stamps the same storage before the next
+//! iteration.
 
 use crate::error::{Result, SimError};
 
@@ -58,7 +59,7 @@ impl Matrix {
     /// Resets every entry to zero (reuse between Newton iterations
     /// without reallocating).
     pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
+        self.data.fill(0.0);
     }
 
     /// Adds `value` to entry `(row, col)` — the stamping primitive.
@@ -68,7 +69,21 @@ impl Matrix {
     /// Panics on out-of-bounds indices.
     #[inline]
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
-        self[(row, col)] += value;
+        assert!(
+            row < self.n_rows && col < self.n_cols,
+            "index out of bounds"
+        );
+        self.accumulate(row, col, value);
+    }
+
+    /// [`Matrix::add`] for callers that guarantee `col < n_cols`; only
+    /// the storage bound is checked. MNA stamping uses it: its rows and
+    /// columns come from a compiled circuit, and a per-entry column check
+    /// costs about a quarter of the assembly time.
+    #[inline]
+    pub(crate) fn accumulate(&mut self, row: usize, col: usize, value: f64) {
+        debug_assert!(col < self.n_cols, "column out of bounds");
+        self.data[row * self.n_cols + col] += value;
     }
 
     /// Matrix–vector product `self · x`.
@@ -91,7 +106,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`SimError::SingularMatrix`] when no usable pivot exists
-    /// (matrix is singular to working precision).
+    /// (matrix is singular to working precision, or the pivot is NaN).
     ///
     /// # Panics
     ///
@@ -100,51 +115,53 @@ impl Matrix {
         assert_eq!(self.n_rows, self.n_cols, "LU needs a square matrix");
         assert_eq!(b.len(), self.n_rows, "rhs dimension mismatch");
         let n = self.n_rows;
+        let a = &mut self.data[..];
 
         for k in 0..n {
             // Partial pivoting: pick the largest magnitude in column k.
             let mut pivot_row = k;
-            let mut pivot_val = self[(k, k)].abs();
+            let mut pivot_val = a[k * n + k].abs();
             for r in (k + 1)..n {
-                let v = self[(r, k)].abs();
+                let v = a[r * n + k].abs();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = r;
                 }
             }
-            if pivot_val < 1e-300 {
+            // The negated form also rejects a NaN pivot.
+            if !(pivot_val >= 1e-300) {
                 return Err(SimError::SingularMatrix { pivot_row: k });
             }
             if pivot_row != k {
-                for c in 0..n {
-                    let (a, b2) = (self[(k, c)], self[(pivot_row, c)]);
-                    self[(k, c)] = b2;
-                    self[(pivot_row, c)] = a;
-                }
+                let (upper, lower) = a.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 b.swap(k, pivot_row);
             }
             // Eliminate below.
-            let pivot = self[(k, k)];
-            for r in (k + 1)..n {
-                let factor = self[(r, k)] / pivot;
+            let (upper, lower) = a.split_at_mut((k + 1) * n);
+            let pivot_row = &upper[k * n..];
+            let pivot = pivot_row[k];
+            let bk = b[k];
+            for (row, br) in lower.chunks_exact_mut(n).zip(&mut b[k + 1..]) {
+                let factor = row[k] / pivot;
                 if factor == 0.0 {
                     continue;
                 }
-                self[(r, k)] = 0.0;
-                for c in (k + 1)..n {
-                    let v = self[(k, c)];
-                    self[(r, c)] -= factor * v;
+                row[k] = 0.0;
+                for (v, &p) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                    *v -= factor * p;
                 }
-                b[r] -= factor * b[k];
+                *br -= factor * bk;
             }
         }
         // Back substitution.
         for k in (0..n).rev() {
+            let row = &a[k * n..(k + 1) * n];
             let mut s = b[k];
-            for c in (k + 1)..n {
-                s -= self[(k, c)] * b[c];
+            for (&v, &bc) in row[k + 1..].iter().zip(&b[k + 1..]) {
+                s -= v * bc;
             }
-            b[k] = s / self[(k, k)];
+            b[k] = s / row[k];
         }
         Ok(())
     }
@@ -234,6 +251,21 @@ mod tests {
         assert!(matches!(
             m.solve_in_place(&mut b),
             Err(SimError::SingularMatrix { .. })
+        ));
+    }
+
+    #[test]
+    fn nan_pivot_is_singular_not_a_solution() {
+        // NaN fails every `>` comparison, so a `pivot < tiny` test lets it
+        // through and the "solution" comes back all NaN.
+        let mut m = Matrix::zeros(2, 2);
+        m[(0, 0)] = f64::NAN;
+        m[(0, 1)] = 1.0;
+        m[(1, 1)] = 1.0;
+        let mut b = vec![1.0, 2.0];
+        assert!(matches!(
+            m.solve_in_place(&mut b),
+            Err(SimError::SingularMatrix { pivot_row: 0 })
         ));
     }
 

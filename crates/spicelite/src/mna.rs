@@ -3,15 +3,38 @@
 //! Unknown vector layout: node voltages for nodes `1..n` (ground excluded)
 //! followed by one branch current per voltage source, in device order.
 //!
-//! Every call to [`assemble`] rebuilds the matrix for the supplied
-//! operating-point guess `x` (Newton–Raphson relinearizes nonlinear
-//! devices each iteration). Capacitors are stamped from caller-provided
-//! Norton companions so that DC (open), backward-Euler and trapezoidal
-//! integration all share this code path.
+//! The solvers compile a circuit once per analysis into a stamp program:
+//! terminals are resolved to matrix rows and temperature-dependent device
+//! constants are evaluated. The program then rebuilds the matrix in place
+//! for every operating-point guess `x` (Newton–Raphson relinearizes
+//! nonlinear devices each iteration). Capacitors are stamped from
+//! caller-provided Norton companions so that DC (open), backward-Euler and
+//! trapezoidal integration all share this code path.
+//!
+//! Every matrix and right-hand-side entry receives its contributions in
+//! device order, so results are bit-for-bit those of stamping straight
+//! from the [`Circuit`].
 
 use crate::circuit::{Circuit, NodeId};
-use crate::devices::{eval_nmos, Device, MosPolarity};
+use crate::devices::{eval_nmos, Device, MosPolarity, Stimulus};
 use crate::linalg::Matrix;
+
+/// A row (and column) of the unknown vector; `None` for ground.
+type Row = Option<usize>;
+
+#[inline]
+fn row_of(node: NodeId) -> Row {
+    if node.is_ground() {
+        None
+    } else {
+        Some(node.index() - 1)
+    }
+}
+
+#[inline]
+fn row_voltage(x: &[f64], row: Row) -> f64 {
+    row.map_or(0.0, |i| x[i])
+}
 
 /// Norton companion model of one capacitor for the current time step:
 /// `i = geq·v + jeq` (with `v` the voltage across the capacitor).
@@ -42,68 +65,32 @@ impl MnaSystem {
         }
     }
 
-    #[inline]
-    fn row(&self, node: NodeId) -> Option<usize> {
-        if node.is_ground() {
-            None
-        } else {
-            Some(node.index() - 1)
-        }
-    }
-
     /// Stamps a conductance `g` between nodes `a` and `b`.
     pub fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
-        if let Some(i) = self.row(a) {
-            self.a.add(i, i, g);
-        }
-        if let Some(j) = self.row(b) {
-            self.a.add(j, j, g);
-        }
-        if let (Some(i), Some(j)) = (self.row(a), self.row(b)) {
-            self.a.add(i, j, -g);
-            self.a.add(j, i, -g);
-        }
+        self.conductance(self.row(a), self.row(b), g);
     }
 
     /// Stamps a current source driving `amps` from node `a` into node `b`
     /// (i.e. the current leaves `a` and enters `b`).
     pub fn stamp_current(&mut self, a: NodeId, b: NodeId, amps: f64) {
-        if let Some(i) = self.row(a) {
-            self.z[i] -= amps;
-        }
-        if let Some(j) = self.row(b) {
-            self.z[j] += amps;
-        }
+        self.current(self.row(a), self.row(b), amps);
     }
 
     /// Stamps a transconductance: a current `g·(vc − vd)` flowing from
     /// node `a` into node `b`.
     pub fn stamp_transconductance(&mut self, a: NodeId, b: NodeId, c: NodeId, d: NodeId, g: f64) {
-        for (node, sign) in [(a, 1.0), (b, -1.0)] {
-            if let Some(i) = self.row(node) {
-                if let Some(k) = self.row(c) {
-                    self.a.add(i, k, sign * g);
-                }
-                if let Some(k) = self.row(d) {
-                    self.a.add(i, k, -sign * g);
-                }
-            }
-        }
+        self.transconductance(self.row(a), self.row(b), self.row(c), self.row(d), g);
     }
 
     /// Stamps a voltage source occupying branch row `branch_row`
     /// (absolute row index in the unknown vector) forcing
     /// `v(pos) − v(neg) = volts`.
     pub fn stamp_vsource(&mut self, branch_row: usize, pos: NodeId, neg: NodeId, volts: f64) {
-        if let Some(i) = self.row(pos) {
-            self.a.add(i, branch_row, 1.0);
-            self.a.add(branch_row, i, 1.0);
-        }
-        if let Some(j) = self.row(neg) {
-            self.a.add(j, branch_row, -1.0);
-            self.a.add(branch_row, j, -1.0);
-        }
-        self.z[branch_row] = volts;
+        assert!(
+            branch_row < self.a.n_cols(),
+            "branch row outside the system"
+        );
+        self.vsource(branch_row, self.row(pos), self.row(neg), volts);
     }
 
     /// Number of unknown node voltages (rows before the branch block).
@@ -111,15 +98,300 @@ impl MnaSystem {
     pub fn node_rows(&self) -> usize {
         self.n_nodes
     }
+
+    /// The row of a caller-supplied node, checked against the matrix
+    /// (the row helpers below add entries without a column check).
+    fn row(&self, node: NodeId) -> Row {
+        let row = row_of(node);
+        assert!(
+            row.is_none_or(|i| i < self.a.n_cols()),
+            "node outside the system"
+        );
+        row
+    }
+
+    // The row helpers: every stamp goes through these. Callers guarantee
+    // that every row is below `a.n_cols()`.
+
+    #[inline]
+    fn conductance(&mut self, a: Row, b: Row, g: f64) {
+        if let Some(i) = a {
+            self.a.accumulate(i, i, g);
+        }
+        if let Some(j) = b {
+            self.a.accumulate(j, j, g);
+        }
+        if let (Some(i), Some(j)) = (a, b) {
+            self.a.accumulate(i, j, -g);
+            self.a.accumulate(j, i, -g);
+        }
+    }
+
+    #[inline]
+    fn current(&mut self, a: Row, b: Row, amps: f64) {
+        if let Some(i) = a {
+            self.z[i] -= amps;
+        }
+        if let Some(j) = b {
+            self.z[j] += amps;
+        }
+    }
+
+    #[inline]
+    fn transconductance(&mut self, a: Row, b: Row, c: Row, d: Row, g: f64) {
+        for (row, sign) in [(a, 1.0), (b, -1.0)] {
+            if let Some(i) = row {
+                if let Some(k) = c {
+                    self.a.accumulate(i, k, sign * g);
+                }
+                if let Some(k) = d {
+                    self.a.accumulate(i, k, -sign * g);
+                }
+            }
+        }
+    }
+
+    #[inline]
+    fn vsource(&mut self, branch_row: usize, pos: Row, neg: Row, volts: f64) {
+        if let Some(i) = pos {
+            self.a.accumulate(i, branch_row, 1.0);
+            self.a.accumulate(branch_row, i, 1.0);
+        }
+        if let Some(j) = neg {
+            self.a.accumulate(j, branch_row, -1.0);
+            self.a.accumulate(branch_row, j, -1.0);
+        }
+        self.z[branch_row] = volts;
+    }
 }
 
 /// Reads the voltage of `node` from an unknown vector.
 #[inline]
 pub fn node_voltage(x: &[f64], node: NodeId) -> f64 {
-    if node.is_ground() {
-        0.0
-    } else {
-        x[node.index() - 1]
+    row_voltage(x, row_of(node))
+}
+
+/// One device of a [`StampProgram`]: terminals resolved to rows,
+/// constants evaluated at the circuit temperature.
+#[derive(Debug, Clone, Copy)]
+enum Stamp<'c> {
+    Conductance {
+        a: Row,
+        b: Row,
+        g: f64,
+    },
+    Capacitor {
+        a: Row,
+        b: Row,
+    },
+    Vsource {
+        pos: Row,
+        neg: Row,
+        branch_row: usize,
+        stimulus: &'c Stimulus,
+    },
+    Isource {
+        from: Row,
+        to: Row,
+        amps: f64,
+    },
+    Mosfet {
+        d: Row,
+        g: Row,
+        s: Row,
+        /// `+1` for NMOS, `−1` for PMOS (potentials are mirrored).
+        sign: f64,
+        /// `KP(T)·W/L`.
+        beta: f64,
+        /// `Vth(T)`.
+        vth: f64,
+        lambda: f64,
+    },
+}
+
+/// A circuit compiled for repeated MNA assembly at its temperature.
+///
+/// Compiling walks the devices once: node terminals become matrix rows,
+/// resistors become conductances, and every MOSFET's `KP(T)·W/L` and
+/// `Vth(T)` are evaluated.
+#[derive(Debug, Clone)]
+pub(crate) struct StampProgram<'c> {
+    stamps: Vec<Stamp<'c>>,
+    n_nodes: usize,
+    n_unknowns: usize,
+}
+
+impl<'c> StampProgram<'c> {
+    /// Compiles `circuit` at its current temperature.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device terminal is not a node of `circuit`.
+    pub(crate) fn compile(circuit: &'c Circuit) -> Self {
+        let temp = circuit.temperature();
+        let n_nodes = circuit.unknown_node_count();
+        let row = |node: NodeId| {
+            assert!(
+                node.index() < circuit.node_count(),
+                "device terminal is not a node of this circuit"
+            );
+            row_of(node)
+        };
+        let mut branch_row = n_nodes;
+        let stamps = circuit
+            .devices()
+            .iter()
+            .map(|dev| match dev {
+                Device::Resistor { a, b, ohms, .. } => Stamp::Conductance {
+                    a: row(*a),
+                    b: row(*b),
+                    g: 1.0 / ohms,
+                },
+                Device::Capacitor { a, b, .. } => Stamp::Capacitor {
+                    a: row(*a),
+                    b: row(*b),
+                },
+                Device::Vsource {
+                    pos, neg, stimulus, ..
+                } => {
+                    branch_row += 1;
+                    Stamp::Vsource {
+                        pos: row(*pos),
+                        neg: row(*neg),
+                        branch_row: branch_row - 1,
+                        stimulus,
+                    }
+                }
+                Device::Isource { from, to, amps, .. } => Stamp::Isource {
+                    from: row(*from),
+                    to: row(*to),
+                    amps: *amps,
+                },
+                Device::Mosfet {
+                    d,
+                    g,
+                    s,
+                    model,
+                    w,
+                    l,
+                    ..
+                } => Stamp::Mosfet {
+                    d: row(*d),
+                    g: row(*g),
+                    s: row(*s),
+                    sign: match model.polarity {
+                        MosPolarity::Nmos => 1.0,
+                        MosPolarity::Pmos => -1.0,
+                    },
+                    beta: model.kp_at(temp) * w / l,
+                    vth: model.vth(temp),
+                    lambda: model.lambda,
+                },
+            })
+            .collect();
+        StampProgram {
+            stamps,
+            n_nodes,
+            n_unknowns: branch_row,
+        }
+    }
+
+    /// A zeroed system of the right size for this program.
+    pub(crate) fn system(&self) -> MnaSystem {
+        MnaSystem::new(self.n_unknowns.max(1), self.n_nodes)
+    }
+
+    /// Clears `sys` and stamps the linearization around the guess `x`
+    /// into it. Arguments as for [`assemble`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sys` does not have this program's size (as made by
+    /// [`StampProgram::system`]), or if `cap_companions` is shorter than
+    /// the number of capacitors when a transient step is assembled.
+    pub(crate) fn assemble_into(
+        &self,
+        sys: &mut MnaSystem,
+        x: &[f64],
+        time: Option<f64>,
+        cap_companions: Option<&[CapCompanion]>,
+        gmin: f64,
+        source_scale: f64,
+    ) {
+        let size = self.n_unknowns.max(1);
+        assert!(
+            sys.a.n_rows() == size && sys.a.n_cols() == size && sys.z.len() == size,
+            "system does not match the program"
+        );
+        sys.a.clear();
+        sys.z.fill(0.0);
+
+        // Convergence leak on every node.
+        if gmin > 0.0 {
+            for i in 0..self.n_nodes {
+                sys.conductance(Some(i), None, gmin);
+            }
+        }
+
+        let mut cap_index = 0usize;
+        for stamp in &self.stamps {
+            match *stamp {
+                Stamp::Conductance { a, b, g } => sys.conductance(a, b, g),
+                Stamp::Capacitor { a, b } => {
+                    if time.is_some() {
+                        let comp = cap_companions
+                            .expect("transient assembly requires capacitor companions")[cap_index];
+                        sys.conductance(a, b, comp.geq);
+                        sys.current(a, b, comp.jeq);
+                    }
+                    cap_index += 1;
+                }
+                Stamp::Vsource {
+                    pos,
+                    neg,
+                    branch_row,
+                    stimulus,
+                } => {
+                    let t = time.unwrap_or(0.0);
+                    sys.vsource(branch_row, pos, neg, source_scale * stimulus.value_at(t));
+                }
+                Stamp::Isource { from, to, amps } => sys.current(from, to, source_scale * amps),
+                Stamp::Mosfet {
+                    d,
+                    g,
+                    s,
+                    sign,
+                    beta,
+                    vth,
+                    lambda,
+                } => {
+                    // Work in a frame where the device is N-type: mirror all
+                    // potentials for PMOS. Conductance stamps are invariant
+                    // under mirroring; the companion current flips sign.
+                    let vd = sign * row_voltage(x, d);
+                    let vg = sign * row_voltage(x, g);
+                    let vs = sign * row_voltage(x, s);
+                    let reversed = vd < vs;
+                    let (nd, ns, vdx, vsx) = if reversed {
+                        (s, d, vs, vd)
+                    } else {
+                        (d, s, vd, vs)
+                    };
+                    let (op, _region) = eval_nmos(vdx, vg, vsx, beta, vth, lambda);
+                    debug_assert!(!op.reversed, "frame already oriented");
+                    // i(nd→ns) = gm·(vg − v_ns) + gds·(v_nd − v_ns) + sign·jeq
+                    let jeq = op.ids - op.gm * (vg - vsx) - op.gds * (vdx - vsx);
+                    sys.conductance(nd, ns, op.gds);
+                    sys.transconductance(nd, ns, g, ns, op.gm);
+                    sys.current(nd, ns, sign * jeq);
+                    // Channel leak keeps the matrix regular when the device
+                    // is cut off.
+                    if gmin > 0.0 {
+                        sys.conductance(d, s, gmin);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -134,6 +406,9 @@ pub fn node_voltage(x: &[f64], node: NodeId) -> f64 {
 /// * `source_scale`: multiplier on every independent source (source
 ///   stepping uses values < 1).
 ///
+/// Compiles the circuit afresh; the solvers, which assemble repeatedly,
+/// keep one compiled program and one system instead.
+///
 /// # Panics
 ///
 /// Panics if `cap_companions` is shorter than the number of capacitors
@@ -146,86 +421,9 @@ pub fn assemble(
     gmin: f64,
     source_scale: f64,
 ) -> MnaSystem {
-    let n_nodes = circuit.unknown_node_count();
-    let n_unknowns = circuit.unknown_count();
-    let mut sys = MnaSystem::new(n_unknowns.max(1), n_nodes);
-    let temp = circuit.temperature();
-
-    // Convergence leak on every node.
-    if gmin > 0.0 {
-        for i in 1..circuit.node_count() {
-            sys.stamp_conductance(NodeId(i), NodeId::GROUND, gmin);
-        }
-    }
-
-    let mut branch_row = n_nodes;
-    let mut cap_index = 0usize;
-    for dev in circuit.devices() {
-        match dev {
-            Device::Resistor { a, b, ohms, .. } => {
-                sys.stamp_conductance(*a, *b, 1.0 / ohms);
-            }
-            Device::Capacitor { a, b, .. } => {
-                if time.is_some() {
-                    let comp = cap_companions
-                        .expect("transient assembly requires capacitor companions")[cap_index];
-                    sys.stamp_conductance(*a, *b, comp.geq);
-                    sys.stamp_current(*a, *b, comp.jeq);
-                }
-                cap_index += 1;
-            }
-            Device::Vsource {
-                pos, neg, stimulus, ..
-            } => {
-                let t = time.unwrap_or(0.0);
-                sys.stamp_vsource(branch_row, *pos, *neg, source_scale * stimulus.value_at(t));
-                branch_row += 1;
-            }
-            Device::Isource { from, to, amps, .. } => {
-                sys.stamp_current(*from, *to, source_scale * amps);
-            }
-            Device::Mosfet {
-                d,
-                g,
-                s,
-                model,
-                w,
-                l,
-                ..
-            } => {
-                let sign = match model.polarity {
-                    MosPolarity::Nmos => 1.0,
-                    MosPolarity::Pmos => -1.0,
-                };
-                // Work in a frame where the device is N-type: mirror all
-                // potentials for PMOS. Conductance stamps are invariant
-                // under mirroring; the companion current flips sign.
-                let vd = sign * node_voltage(x, *d);
-                let vg = sign * node_voltage(x, *g);
-                let vs = sign * node_voltage(x, *s);
-                let reversed = vd < vs;
-                let (nd, ns, vdx, vsx) = if reversed {
-                    (*s, *d, vs, vd)
-                } else {
-                    (*d, *s, vd, vs)
-                };
-                let beta = model.kp_at(temp) * w / l;
-                let vth = model.vth(temp);
-                let (op, _region) = eval_nmos(vdx, vg, vsx, beta, vth, model.lambda);
-                debug_assert!(!op.reversed, "frame already oriented");
-                // i(nd→ns) = gm·(vg − v_ns) + gds·(v_nd − v_ns) + sign·jeq
-                let jeq = op.ids - op.gm * (vg - vsx) - op.gds * (vdx - vsx);
-                sys.stamp_conductance(nd, ns, op.gds);
-                sys.stamp_transconductance(nd, ns, *g, ns, op.gm);
-                sys.stamp_current(nd, ns, sign * jeq);
-                // Channel leak keeps the matrix regular when the device
-                // is cut off.
-                if gmin > 0.0 {
-                    sys.stamp_conductance(*d, *s, gmin);
-                }
-            }
-        }
-    }
+    let program = StampProgram::compile(circuit);
+    let mut sys = program.system();
+    program.assemble_into(&mut sys, x, time, cap_companions, gmin, source_scale);
     sys
 }
 
@@ -327,6 +525,53 @@ mod tests {
         let x = vec![0.0; ckt.unknown_count()];
         let sys = assemble(&ckt, &x, None, None, 0.0, 0.5);
         assert!((sys.z[1] - 1.0).abs() < 1e-12, "half the 2 V source");
+    }
+
+    #[test]
+    fn reused_system_matches_a_fresh_assembly() {
+        // Solving destroys the system; re-stamping it in place must give
+        // exactly the entries of a freshly allocated assembly.
+        let (nmos, pmos) = models_um350();
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let inp = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.add_vsource("VDD", vdd, Circuit::GROUND, Stimulus::Dc(3.3))
+            .unwrap();
+        ckt.add_vsource("VIN", inp, Circuit::GROUND, Stimulus::Dc(1.2))
+            .unwrap();
+        ckt.add_mosfet_with_caps("MN", out, inp, Circuit::GROUND, nmos, 1e-6, 0.35e-6)
+            .unwrap();
+        ckt.add_mosfet_with_caps("MP", out, inp, vdd, pmos, 2e-6, 0.35e-6)
+            .unwrap();
+        ckt.set_temperature(85.0);
+        let comps: Vec<CapCompanion> = (0..6)
+            .map(|k| CapCompanion {
+                geq: 1e-4 * (k + 1) as f64,
+                jeq: -3e-6 * k as f64,
+            })
+            .collect();
+        let program = StampProgram::compile(&ckt);
+        let mut sys = program.system();
+        for x in [[3.3, 1.2, 0.4, -1e-4, 0.0], [3.3, 1.2, 2.9, -2e-4, 1e-6]] {
+            program.assemble_into(&mut sys, &x, Some(1e-9), Some(&comps), 1e-12, 1.0);
+            let fresh = assemble(&ckt, &x, Some(1e-9), Some(&comps), 1e-12, 1.0);
+            assert_eq!(sys.a, fresh.a);
+            assert_eq!(sys.z, fresh.z);
+            let mut rhs = sys.z.clone();
+            sys.a.solve_in_place(&mut rhs).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a node of this circuit")]
+    fn foreign_node_rejected_at_compile() {
+        let mut other = Circuit::new();
+        other.node("a");
+        let far = other.node("b");
+        let mut ckt = Circuit::new();
+        ckt.add_resistor("R1", far, Circuit::GROUND, 1e3).unwrap();
+        let _ = StampProgram::compile(&ckt);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! operating point.
 
 use crate::circuit::{Circuit, NodeId};
-use crate::dc::{newton_solve, solve_dc, SolverOptions};
+use crate::dc::{initial_guess, Newton, SolverOptions};
 use crate::devices::Device;
 use crate::error::{Result, SimError};
 use crate::mna::{node_voltage, CapCompanion};
@@ -174,19 +174,14 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
         "need 0 < dt_min <= dt <= dt_max"
     );
     let caps = capacitor_terminals(circuit);
-    let n = circuit.unknown_count();
+    // One compiled circuit and one Newton workspace for the whole run.
+    let mut newton = Newton::new(circuit);
 
     // Initial state.
     let mut x = if opts.uic {
-        let mut x0 = vec![0.0; n];
-        for &(node, v) in circuit.initial_conditions() {
-            if !node.is_ground() {
-                x0[node.index() - 1] = v;
-            }
-        }
-        x0
+        initial_guess(circuit)
     } else {
-        solve_dc(circuit, &opts.solver)?.unknowns().to_vec()
+        newton.operating_point(initial_guess(circuit), &opts.solver)?
     };
 
     let mut cap_state: Vec<CapState> = caps
@@ -197,6 +192,7 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
         })
         .collect();
 
+    let mut companions = vec![CapCompanion::default(); caps.len()];
     let mut wave = Waveform::for_circuit(circuit);
     wave.push(0.0, &x);
 
@@ -225,10 +221,8 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
         } else {
             opts.integrator
         };
-        let companions: Vec<CapCompanion> = caps
-            .iter()
-            .zip(&cap_state)
-            .map(|(&(_, _, c), st)| match scheme {
+        for ((comp, &(_, _, c)), st) in companions.iter_mut().zip(&caps).zip(&cap_state) {
+            *comp = match scheme {
                 Integrator::BackwardEuler => {
                     let geq = c / h;
                     CapCompanion {
@@ -243,11 +237,10 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
                         jeq: -geq * st.v - st.i,
                     }
                 }
-            })
-            .collect();
+            };
+        }
 
-        match newton_solve(
-            circuit,
+        match newton.solve(
             &x,
             Some(t + h),
             Some(&companions),
@@ -258,11 +251,11 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
             Ok(x_new) => {
                 // Accept: update capacitor memory.
                 for ((st, comp), &(a, b, _)) in cap_state.iter_mut().zip(&companions).zip(&caps) {
-                    let v_new = node_voltage(&x_new, a) - node_voltage(&x_new, b);
+                    let v_new = node_voltage(x_new, a) - node_voltage(x_new, b);
                     st.i = comp.geq * v_new + comp.jeq;
                     st.v = v_new;
                 }
-                x = x_new;
+                x.copy_from_slice(x_new);
                 t += h;
                 wave.push(t, &x);
                 easy_streak += 1;

@@ -141,7 +141,7 @@ impl TransistorRing {
     /// Measures the steady-state oscillation period at `temp_c`.
     ///
     /// The simulation horizon starts at an internally estimated guess and
-    /// doubles (up to four times) until enough threshold crossings exist
+    /// doubles (at most four horizons are run) until enough threshold crossings exist
     /// for a confident average: the first two crossings are discarded as
     /// start-up transient.
     ///
@@ -164,14 +164,22 @@ impl TransistorRing {
         // ~25 oscillation periods with ~100 points per period: the period
         // is averaged over many cycles, so crossing-interpolation noise
         // stays far below the non-linearity signal being measured.
-        let mut t_stop = (est * 25.0).max(0.5e-9);
+        self.measure_period_from(temp_c, (est * 25.0).max(0.5e-9), est / 100.0)
+    }
+
+    /// The horizon-doubling loop of [`TransistorRing::measure_period`],
+    /// starting at `t_stop` with steps no longer than `dt_cap`.
+    fn measure_period_from(&self, temp_c: f64, mut t_stop: f64, dt_cap: f64) -> Result<f64> {
         let threshold = 0.5 * self.vdd;
-        for _attempt in 0..4 {
-            let dt = (t_stop / 4000.0).min(est / 100.0);
+        for attempt in 0..4 {
+            if attempt > 0 {
+                t_stop *= 2.0;
+            }
+            let dt = (t_stop / 4000.0).min(dt_cap);
             let wave = self.simulate(temp_c, t_stop, dt)?;
             match wave.period("n0", threshold, 3) {
                 Ok(p) => return Ok(p),
-                Err(SimError::Measurement { .. }) => t_stop *= 2.0,
+                Err(SimError::Measurement { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -251,6 +259,20 @@ mod tests {
             nand > inv,
             "stacked pull-down + extra load: {nand} vs {inv}"
         );
+    }
+
+    #[test]
+    fn failed_measurement_reports_the_last_simulated_horizon() {
+        // 20 ps horizons never hold five rising crossings of a ring
+        // whose period is ~100 ps, so all four attempts (20, 40, 80 and
+        // 160 ps) fail; the message must name the longest one run.
+        let r = ring(GateKind::Inv, 3, 2.0);
+        match r.measure_period_from(27.0, 20e-12, 1e-12) {
+            Err(SimError::Measurement { message }) => {
+                assert!(message.contains("within 1.600e-10 s"), "{message}");
+            }
+            other => panic!("expected a measurement failure, got {other:?}"),
+        }
     }
 
     #[test]
