@@ -19,7 +19,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use runtime::{resolve_sim_events, run_sim, shrink_failure, sweep, Invariant, Mutation, SimConfig};
+use dst::{shrink, sweep};
+use runtime::{resolve_sim_events, run_sim, Invariant, Mutation, SimConfig};
 
 use crate::{render_table, write_artifact};
 
@@ -36,7 +37,7 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
 
     // ---- coverage sweep: the shipped service ---------------------------
     let started = Instant::now();
-    let clean = sweep(&base, SEED_BASE, seeds, false);
+    let clean = sweep(&base, SEED_BASE, seeds, false, 1);
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     let seeds_per_s = clean.seeds as f64 / elapsed;
 
@@ -45,7 +46,7 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
         mutation: Mutation::NoCooldownRebase,
         ..base.clone()
     };
-    let hunt = sweep(&mutated, SEED_BASE, CATCH_BUDGET, true);
+    let hunt = sweep(&mutated, SEED_BASE, CATCH_BUDGET, true, 1);
     let caught = hunt.violations.first();
     let (seeds_to_catch, invariant, replay_ok, shrunk_events, shrunk_crashes) = match caught {
         Some(report) => {
@@ -54,7 +55,7 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
                 ..mutated.clone()
             };
             let replay_ok = run_sim(&failing) == run_sim(&failing);
-            let (ev, cr) = shrink_failure(&failing).map_or((0, 0), |s| {
+            let (ev, cr) = shrink(&failing).map_or((0, 0), |s| {
                 (
                     s.config.events.as_ref().map_or(0, Vec::len),
                     s.config.crashes.len(),
@@ -76,9 +77,9 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"seed_base\": {SEED_BASE},");
     let _ = writeln!(json, "  \"seeds\": {},", clean.seeds);
-    let _ = writeln!(json, "  \"steps\": {},", clean.steps);
-    let _ = writeln!(json, "  \"requests\": {},", clean.requests);
-    let _ = writeln!(json, "  \"crashes\": {},", clean.crashes);
+    let _ = writeln!(json, "  \"steps\": {},", clean.tally.steps);
+    let _ = writeln!(json, "  \"requests\": {},", clean.tally.requests);
+    let _ = writeln!(json, "  \"crashes\": {},", clean.tally.crashes);
     let _ = writeln!(json, "  \"violations\": {},", clean.violations.len());
     let _ = writeln!(json, "  \"elapsed_s\": {elapsed:.2},");
     let _ = writeln!(json, "  \"seeds_per_s\": {seeds_per_s:.1},");
@@ -114,9 +115,9 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
         &[vec![
             "shipped".into(),
             clean.seeds.to_string(),
-            clean.steps.to_string(),
-            clean.requests.to_string(),
-            clean.crashes.to_string(),
+            clean.tally.steps.to_string(),
+            clean.tally.requests.to_string(),
+            clean.tally.crashes.to_string(),
             clean.violations.len().to_string(),
             format!("{seeds_per_s:.1}"),
         ]],

@@ -10,7 +10,7 @@
 //!    and slow links, duplicated datagrams, shard crashes mid-storm,
 //!    decommissions, clock skew — with zero fleet-invariant
 //!    violations.
-//! 2. **Parallel sweep scaling**: `fleet_sweep` at 4 jobs vs serial,
+//! 2. **Parallel sweep scaling**: `dst::sweep` at 4 jobs vs serial,
 //!    with the merged outcome byte-identical. CPU-bound scaling is
 //!    only observable with ≥4 hardware threads, so the JSON records
 //!    the core count next to the measured ratio; a latency-bound
@@ -30,9 +30,8 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use runtime::{
-    fleet_sweep, run_fleet, shrink_fleet_failure, FleetConfig, FleetInvariant, FleetMutation,
-};
+use dst::{shrink, sweep};
+use runtime::{run_fleet, FleetConfig, FleetInvariant, FleetMutation};
 
 use crate::{render_table, write_artifact};
 
@@ -64,7 +63,7 @@ pub fn run(out_dir: &Path) -> String {
 
     // ---- 1. headline clean sweep -------------------------------------
     let t = Instant::now();
-    let clean = fleet_sweep(&base, 0, SWEEP_SEEDS, false, 1);
+    let clean = sweep(&base, 0, SWEEP_SEEDS, false, 1);
     let clean_elapsed = t.elapsed();
     let clean_ok = clean.violations.is_empty();
 
@@ -72,14 +71,14 @@ pub fn run(out_dir: &Path) -> String {
     let mut serial_t = Duration::MAX;
     let mut jobs4_t = Duration::MAX;
     let mut identical = true;
-    let reference = fleet_sweep(&base, 0, TIMED_SEEDS, false, 1);
+    let reference = sweep(&base, 0, TIMED_SEEDS, false, 1);
     for _ in 0..REPS {
         let t = Instant::now();
-        let s = fleet_sweep(&base, 0, TIMED_SEEDS, false, 1);
+        let s = sweep(&base, 0, TIMED_SEEDS, false, 1);
         serial_t = serial_t.min(t.elapsed());
         identical &= s == reference;
         let t = Instant::now();
-        let p = fleet_sweep(&base, 0, TIMED_SEEDS, false, 4);
+        let p = sweep(&base, 0, TIMED_SEEDS, false, 4);
         jobs4_t = jobs4_t.min(t.elapsed());
         identical &= p == reference;
     }
@@ -112,7 +111,7 @@ pub fn run(out_dir: &Path) -> String {
         mutation: FleetMutation::NoDecommissionCheck,
         ..base.clone()
     };
-    let hunt = fleet_sweep(&mutated, 0, SWEEP_SEEDS, true, 1);
+    let hunt = sweep(&mutated, 0, SWEEP_SEEDS, true, 1);
     let caught = hunt.violations.first();
     let caught_ok = caught.is_some_and(|r| {
         r.violation.as_ref().map(|v| v.invariant) == Some(FleetInvariant::RoutedDecommissioned)
@@ -129,7 +128,7 @@ pub fn run(out_dir: &Path) -> String {
             };
             let a = run_fleet(&failing);
             let b = run_fleet(&failing);
-            let shrunk = shrink_fleet_failure(&failing)
+            let shrunk = shrink(&failing)
                 .map(|s| s.config.events.map_or(0, |e| e.len()))
                 .unwrap_or(usize::MAX);
             (shrunk, a == b)
@@ -168,9 +167,9 @@ pub fn run(out_dir: &Path) -> String {
     // ---- artifacts ----------------------------------------------------
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"sweep_seeds\": {},", clean.seeds);
-    let _ = writeln!(json, "  \"sweep_steps\": {},", clean.steps);
-    let _ = writeln!(json, "  \"sweep_requests\": {},", clean.requests);
-    let _ = writeln!(json, "  \"sweep_crashes\": {},", clean.crashes);
+    let _ = writeln!(json, "  \"sweep_steps\": {},", clean.tally.steps);
+    let _ = writeln!(json, "  \"sweep_requests\": {},", clean.tally.requests);
+    let _ = writeln!(json, "  \"sweep_crashes\": {},", clean.tally.crashes);
     let _ = writeln!(json, "  \"sweep_violations\": {},", clean.violations.len());
     let _ = writeln!(json, "  \"sweep_ms\": {:.1},", ms(clean_elapsed));
     let _ = writeln!(json, "  \"timed_seeds\": {TIMED_SEEDS},");
@@ -242,7 +241,7 @@ pub fn run(out_dir: &Path) -> String {
     let _ = writeln!(
         report,
         "\nclean sweep: {} seed(s), {} step(s), {} request(s), {} crash(es)",
-        clean.seeds, clean.steps, clean.requests, clean.crashes
+        clean.seeds, clean.tally.steps, clean.tally.requests, clean.tally.crashes
     );
     let _ = writeln!(
         report,

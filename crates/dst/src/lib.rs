@@ -29,8 +29,11 @@
 //!   [`SkewedClock`] (per-node offset + drift over one shared
 //!   [`VirtualClock`]) and [`NonceNamespace`] (per-node nonce
 //!   sequences), a whole fleet runs inside one seeded [`Executor`].
-//! * [`shrink`] — [`shrink_events`], the greedy delta-debugging loop
-//!   that cuts a failing input set down to a minimal reproducer.
+//! * [`scenario`] — the one seed sweep/shrink driver every simulator
+//!   shares: implement [`Scenario`] on a config, then [`sweep`] a seed
+//!   window at any job count and [`shrink`] a failing seed with
+//!   [`shrink_events`], the greedy delta-debugging loop that cuts a
+//!   failing input set down to a 1-minimal reproducer.
 //! * [`par`] — [`run_indexed`], a scoped-thread batch runner whose
 //!   index-ordered results make parallel seed sweeps byte-identical
 //!   to serial ones.
@@ -52,7 +55,8 @@ pub mod fs;
 pub mod hash;
 pub mod net;
 pub mod par;
-pub mod shrink;
+pub mod scenario;
+mod shrink;
 
 pub use clock::{unique_nonce, Clock, NonceNamespace, SkewedClock, SystemClock, VirtualClock};
 pub use executor::{Executor, StepRecord, TaskState};
@@ -60,4 +64,5 @@ pub use fs::{FsError, RealFs, SimDisk, SimDiskProfile, SimDiskStats, SimFs};
 pub use hash::{crc32, fnv1a64};
 pub use net::{Envelope, LinkProfile, NetStats, NodeId, SendOutcome, SimNet};
 pub use par::run_indexed;
+pub use scenario::{shrink, sweep, Scenario, Shrunk, SweepOutcome, Tally, Violation};
 pub use shrink::shrink_events;

@@ -71,7 +71,7 @@
 //! --seeds N          seeds to sweep (default: 200)
 //! --seed-base N      first seed (default: 0)
 //! --seed-range A..B  sweep the half-open seed range [A, B)
-//!                    (overrides --seeds/--seed-base)
+//!                    (cannot be combined with --seeds/--seed-base)
 //! --jobs N           worker threads for the sweep; results are merged
 //!                    in seed order, so the report is byte-identical at
 //!                    any job count (default: 1)
@@ -92,15 +92,15 @@
 //!
 //! Exit status: 0 clean; 1 when `--check` fails; 2 on usage errors.
 
+use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use dst::{Scenario, SweepOutcome, Violation};
 use runtime::{
-    fleet_sweep, render_fleet_trace, render_trace, run_fleet, run_sim, run_soak, run_wire_soak,
-    shrink_failure, shrink_fleet_failure, sweep_jobs, FleetConfig, FleetMutation, FleetReport,
-    FleetSweepOutcome, Mutation, RuntimeConfig, SimConfig, SimReport, SoakConfig, SoakReport,
-    SweepOutcome, WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig,
-    WireSoakConfig,
+    render_fleet_trace, render_trace, run_soak, run_wire_soak, FleetConfig, FleetMutation,
+    FleetReport, Mutation, RuntimeConfig, SimConfig, SimReport, SoakConfig, SoakReport, WireClient,
+    WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
 };
 
 const USAGE: &str = "usage: runtime soak [--seconds N] [--seed N] [--sites N] [--faults N] \
@@ -161,6 +161,7 @@ fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOpti
         check: false,
         json: false,
     };
+    let (mut window_flag, mut range_flag) = (false, false);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => opts.check = true,
@@ -176,10 +177,12 @@ fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOpti
                 if opts.seeds == 0 {
                     return Err("--seeds must be positive".into());
                 }
+                window_flag = true;
             }
             "--seed-base" => {
                 let v = it.next().ok_or("--seed-base needs a value")?;
                 opts.seed_base = v.parse().map_err(|_| format!("bad seed base `{v}`"))?;
+                window_flag = true;
             }
             "--seed-range" => {
                 let v = it.next().ok_or("--seed-range needs A..B")?;
@@ -193,6 +196,7 @@ fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOpti
                 }
                 opts.seed_base = a;
                 opts.seeds = b - a;
+                range_flag = true;
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -219,6 +223,17 @@ fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOpti
             }
             flag => return Err(format!("unknown argument `{flag}`")),
         }
+    }
+    if window_flag && range_flag {
+        return Err("--seed-range cannot be combined with --seeds or --seed-base".into());
+    }
+    if opts.seed_base.checked_add(opts.seeds - 1).is_none() {
+        return Err(format!(
+            "seed window of {} seed(s) from {} runs past the largest seed {}",
+            opts.seeds,
+            opts.seed_base,
+            u64::MAX
+        ));
     }
     if opts.replay_node.is_some() && !opts.fleet {
         return Err("--replay-node requires --fleet".into());
@@ -567,127 +582,151 @@ fn render_json(report: &SoakReport, restart: bool) -> String {
     )
 }
 
-fn render_sim_json(report: &SimReport) -> String {
-    format!(
-        "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
-         \"served_fresh\": {},\n  \"served_degraded\": {},\n  \"typed_errors\": {},\n  \
-         \"deadline_misses\": {},\n  \"injected\": {},\n  \"cleared\": {},\n  \"crashes\": {},\n  \
-         \"checkpoints\": {},\n  \"snapshots_skipped\": {},\n  \"violation\": {}\n}}",
-        report.seed,
-        report.mutation,
-        report.steps,
-        report.requests,
-        report.served_fresh,
-        report.served_degraded,
-        report.typed_errors,
-        report.deadline_misses,
-        report.injected,
-        report.cleared,
-        report.crashes,
-        report.checkpoints,
-        report.snapshots_skipped,
-        report.violation.as_ref().map_or("null".to_string(), |v| {
-            format!(
-                "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
-                v.invariant, v.step, v.at_ms, v.task
-            )
-        }),
-    )
+/// What `runtime dst` needs from a simulator beyond [`Scenario`]: its
+/// mutations, its labels, and its report renderers.
+trait DstCli: Scenario<Invariant: fmt::Display, Event: fmt::Display> {
+    /// The simulator's known-bad mutations; `Default` is the shipped
+    /// code.
+    type Mutation: Copy + Default + PartialEq + fmt::Display + 'static;
+    /// Every mutation, parsed by its display spelling.
+    const MUTATIONS: &'static [Self::Mutation];
+    /// Names the scenario in the sweep line and the check verdict.
+    const LABEL: &'static str;
+    /// The `runtime dst` flags that select the scenario.
+    const FLAGS: &'static str;
+    /// Noun for one event of a shrunk reproducer.
+    const EVENT: &'static str;
+
+    /// The default config under `mutation`.
+    fn base(mutation: Self::Mutation) -> Self;
+    /// The seed a report came from.
+    fn seed(report: &Self::Report) -> u64;
+    /// One run's counters and violation as JSON.
+    fn render_json(report: &Self::Report) -> String;
+    /// One run's trace, optionally filtered to a node.
+    fn render_trace(report: &Self::Report, node: Option<&str>) -> String;
 }
 
-fn render_sweep_json(out: &SweepOutcome, seed_base: u64) -> String {
-    let violations: Vec<String> = out
-        .violations
-        .iter()
-        .map(|r| {
-            let v = r.violation.as_ref().expect("violating report");
-            format!(
-                "    {{\"seed\": {}, \"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}}}",
-                r.seed, v.invariant, v.step, v.at_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed_base\": {},\n  \"seeds\": {},\n  \"steps\": {},\n  \"requests\": {},\n  \
-         \"crashes\": {},\n  \"violations\": [\n{}\n  ]\n}}",
-        seed_base,
-        out.seeds,
-        out.steps,
-        out.requests,
-        out.crashes,
-        violations.join(",\n"),
-    )
-}
+impl DstCli for SimConfig {
+    type Mutation = Mutation;
+    const MUTATIONS: &'static [Mutation] = &Mutation::ALL;
+    const LABEL: &'static str = "dst";
+    const FLAGS: &'static str = "";
+    const EVENT: &'static str = "event";
 
-fn write_failure_artifact(path: &PathBuf, cfg: &SimConfig, report: &SimReport) {
-    let mut text = render_trace(report);
-    if let Some(shrunk) = shrink_failure(cfg) {
-        let events = shrunk.config.events.as_deref().unwrap_or_default();
-        text.push_str(&format!(
-            "\n# shrunk reproducer: seed {} with {} fault event(s), {} crash(es)\n",
-            shrunk.config.seed,
-            events.len(),
-            shrunk.config.crashes.len()
-        ));
-        for ev in events {
-            text.push_str(&format!(
-                "#   t={} ch={} {:?} for {} ms\n",
-                ev.at_ms, ev.channel, ev.fault, ev.duration_ms
-            ));
+    fn base(mutation: Mutation) -> Self {
+        SimConfig {
+            mutation,
+            ..SimConfig::default()
         }
-        text.push_str(&render_trace(&shrunk.report));
     }
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("runtime: could not write trace to {}: {e}", path.display());
-    } else {
-        eprintln!("runtime: failing trace written to {}", path.display());
+
+    fn seed(report: &SimReport) -> u64 {
+        report.seed
+    }
+
+    fn render_json(report: &SimReport) -> String {
+        format!(
+            "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
+             \"served_fresh\": {},\n  \"served_degraded\": {},\n  \"typed_errors\": {},\n  \
+             \"deadline_misses\": {},\n  \"injected\": {},\n  \"cleared\": {},\n  \"crashes\": {},\n  \
+             \"checkpoints\": {},\n  \"snapshots_skipped\": {},\n  \"violation\": {}\n}}",
+            report.seed,
+            report.mutation,
+            report.steps,
+            report.requests,
+            report.served_fresh,
+            report.served_degraded,
+            report.typed_errors,
+            report.deadline_misses,
+            report.injected,
+            report.cleared,
+            report.crashes,
+            report.checkpoints,
+            report.snapshots_skipped,
+            violation_json(report.violation.as_ref()),
+        )
+    }
+
+    fn render_trace(report: &SimReport, _node: Option<&str>) -> String {
+        render_trace(report)
     }
 }
 
-fn render_fleet_json(report: &FleetReport) -> String {
-    format!(
-        "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
-         \"served_fresh\": {},\n  \"served_degraded\": {},\n  \"client_errors\": {},\n  \
-         \"client_timeouts\": {},\n  \"failovers\": {},\n  \"promotions\": {},\n  \
-         \"fenced_writes\": {},\n  \"acked_effects\": {},\n  \"anti_entropy_repairs\": {},\n  \
-         \"stale_discarded\": {},\n  \"duplicates_absorbed\": {},\n  \"crashes\": {},\n  \
-         \"decommissions\": {},\n  \"kills\": {},\n  \"violation\": {}\n}}",
-        report.seed,
-        report.mutation,
-        report.steps,
-        report.requests,
-        report.served_fresh,
-        report.served_degraded,
-        report.client_errors,
-        report.client_timeouts,
-        report.failovers,
-        report.promotions,
-        report.fenced_writes,
-        report.acked_effects,
-        report.anti_entropy_repairs,
-        report.stale_discarded,
-        report.duplicates_absorbed,
-        report.crashes,
-        report.decommissions,
-        report.kills,
-        report.violation.as_ref().map_or("null".to_string(), |v| {
-            format!(
-                "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
-                v.invariant, v.step, v.at_ms, v.task
-            )
-        }),
-    )
+impl DstCli for FleetConfig {
+    type Mutation = FleetMutation;
+    const MUTATIONS: &'static [FleetMutation] = &FleetMutation::ALL;
+    const LABEL: &'static str = "fleet dst";
+    const FLAGS: &'static str = "--fleet ";
+    const EVENT: &'static str = "fleet event";
+
+    fn base(mutation: FleetMutation) -> Self {
+        FleetConfig {
+            mutation,
+            ..FleetConfig::default()
+        }
+    }
+
+    fn seed(report: &FleetReport) -> u64 {
+        report.seed
+    }
+
+    fn render_json(report: &FleetReport) -> String {
+        format!(
+            "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
+             \"served_fresh\": {},\n  \"served_degraded\": {},\n  \"client_errors\": {},\n  \
+             \"client_timeouts\": {},\n  \"failovers\": {},\n  \"promotions\": {},\n  \
+             \"fenced_writes\": {},\n  \"acked_effects\": {},\n  \"anti_entropy_repairs\": {},\n  \
+             \"stale_discarded\": {},\n  \"duplicates_absorbed\": {},\n  \"crashes\": {},\n  \
+             \"decommissions\": {},\n  \"kills\": {},\n  \"violation\": {}\n}}",
+            report.seed,
+            report.mutation,
+            report.steps,
+            report.requests,
+            report.served_fresh,
+            report.served_degraded,
+            report.client_errors,
+            report.client_timeouts,
+            report.failovers,
+            report.promotions,
+            report.fenced_writes,
+            report.acked_effects,
+            report.anti_entropy_repairs,
+            report.stale_discarded,
+            report.duplicates_absorbed,
+            report.crashes,
+            report.decommissions,
+            report.kills,
+            violation_json(report.violation.as_ref()),
+        )
+    }
+
+    fn render_trace(report: &FleetReport, node: Option<&str>) -> String {
+        render_fleet_trace(report, node)
+    }
 }
 
-fn render_fleet_sweep_json(out: &FleetSweepOutcome, seed_base: u64) -> String {
+fn violation_json<I: fmt::Display>(violation: Option<&Violation<I>>) -> String {
+    violation.map_or("null".to_string(), |v| {
+        format!(
+            "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
+            v.invariant, v.step, v.at_ms, v.task
+        )
+    })
+}
+
+fn render_sweep_json<S: DstCli>(out: &SweepOutcome<S::Report>, seed_base: u64) -> String {
     let violations: Vec<String> = out
         .violations
         .iter()
         .map(|r| {
-            let v = r.violation.as_ref().expect("violating report");
+            let v = S::violation(r).expect("violating report");
             format!(
                 "    {{\"seed\": {}, \"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}}}",
-                r.seed, v.invariant, v.step, v.at_ms
+                S::seed(r),
+                v.invariant,
+                v.step,
+                v.at_ms
             )
         })
         .collect();
@@ -696,26 +735,28 @@ fn render_fleet_sweep_json(out: &FleetSweepOutcome, seed_base: u64) -> String {
          \"crashes\": {},\n  \"violations\": [\n{}\n  ]\n}}",
         seed_base,
         out.seeds,
-        out.steps,
-        out.requests,
-        out.crashes,
+        out.tally.steps,
+        out.tally.requests,
+        out.tally.crashes,
         violations.join(",\n"),
     )
 }
 
-fn write_fleet_failure_artifact(path: &PathBuf, cfg: &FleetConfig, report: &FleetReport) {
-    let mut text = render_fleet_trace(report, None);
-    if let Some(shrunk) = shrink_fleet_failure(cfg) {
-        let events = shrunk.config.events.as_deref().unwrap_or_default();
+/// Writes the failing trace plus its shrunk reproducer to `path`.
+fn write_failure_artifact<S: DstCli>(path: &PathBuf, cfg: &S, report: &S::Report) {
+    let mut text = S::render_trace(report, None);
+    if let Some(shrunk) = dst::shrink(cfg) {
+        let events = shrunk.config.events();
         text.push_str(&format!(
-            "\n# shrunk reproducer: seed {} with {} fleet event(s)\n",
-            shrunk.config.seed,
+            "\n# shrunk reproducer: seed {} with {} {}(s)\n",
+            S::seed(&shrunk.report),
             events.len(),
+            S::EVENT,
         ));
-        for ev in events {
+        for ev in &events {
             text.push_str(&format!("#   {ev}\n"));
         }
-        text.push_str(&render_fleet_trace(&shrunk.report, None));
+        text.push_str(&S::render_trace(&shrunk.report, None));
     }
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("runtime: could not write trace to {}: {e}", path.display());
@@ -724,176 +765,78 @@ fn write_fleet_failure_artifact(path: &PathBuf, cfg: &FleetConfig, report: &Flee
     }
 }
 
-fn run_fleet_dst_cmd(opts: DstOptions, mutation: FleetMutation) -> ExitCode {
-    let base = FleetConfig {
-        mutation,
-        ..FleetConfig::default()
-    };
-
-    if let Some(seed) = opts.replay {
-        let cfg = FleetConfig { seed, ..base };
-        let report = run_fleet(&cfg);
-        if opts.json {
-            println!("{}", render_fleet_json(&report));
-        } else {
-            print!(
-                "{}",
-                render_fleet_trace(&report, opts.replay_node.as_deref())
-            );
-        }
-        if let (Some(path), Some(_)) = (&opts.trace_out, &report.violation) {
-            write_fleet_failure_artifact(path, &cfg, &report);
-        }
-        if opts.check && report.violation.is_some() {
-            return ExitCode::from(1);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let out = fleet_sweep(&base, opts.seed_base, opts.seeds, false, opts.jobs);
-    if opts.json {
-        println!("{}", render_fleet_sweep_json(&out, opts.seed_base));
-    } else {
-        println!(
-            "fleet dst sweep: {} seed(s) from {} (mutation {}, {} job(s)): {} step(s), \
-             {} request(s), {} crash(es), {} violation(s)",
-            out.seeds,
-            opts.seed_base,
-            mutation,
-            opts.jobs,
-            out.steps,
-            out.requests,
-            out.crashes,
-            out.violations.len()
-        );
-        for r in &out.violations {
-            let v = r.violation.as_ref().expect("violating report");
-            println!(
-                "  seed {}: {} at step {} (t={} ms, task {}): {}",
-                r.seed, v.invariant, v.step, v.at_ms, v.task, v.detail
-            );
-        }
-    }
-    if let (Some(path), Some(first)) = (&opts.trace_out, out.violations.first()) {
-        let cfg = FleetConfig {
-            seed: first.seed,
-            ..base
-        };
-        write_fleet_failure_artifact(path, &cfg, first);
-    }
-    if opts.check {
-        if !out.violations.is_empty() {
-            if !opts.json {
-                eprintln!(
-                    "runtime: fleet dst check FAILED ({} violating seed(s); replay with \
-                     `runtime dst --fleet --replay {}{}`)",
-                    out.violations.len(),
-                    out.violations[0].seed,
-                    if mutation == FleetMutation::None {
-                        String::new()
-                    } else {
-                        format!(" --mutation {mutation}")
-                    }
-                );
-            }
-            return ExitCode::from(1);
-        }
-        if !opts.json {
-            println!("check PASSED");
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_dst_cmd(opts: DstOptions) -> ExitCode {
-    if opts.fleet {
-        let mutation = match opts.mutation.as_deref() {
-            None => FleetMutation::None,
-            Some(m) => match FleetMutation::parse(m) {
-                Some(m) => m,
-                None => {
-                    eprintln!(
-                        "runtime: bad fleet mutation `{m}` (none | no-decommission-check | \
-                     no-epoch-fence)"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-        };
-        return run_fleet_dst_cmd(opts, mutation);
-    }
+fn run_dst_cmd<S: DstCli>(opts: DstOptions) -> ExitCode {
     let mutation = match opts.mutation.as_deref() {
-        None => Mutation::None,
-        Some(m) => match Mutation::parse(m) {
-            Some(m) => m,
+        None => S::Mutation::default(),
+        Some(m) => match S::MUTATIONS.iter().find(|k| k.to_string() == m) {
+            Some(k) => *k,
             None => {
-                eprintln!("runtime: bad mutation `{m}` (none | no-cooldown-rebase)");
+                let names: Vec<String> = S::MUTATIONS.iter().map(|k| k.to_string()).collect();
+                eprintln!(
+                    "runtime: bad {} mutation `{m}` ({})",
+                    S::LABEL,
+                    names.join(" | ")
+                );
                 return ExitCode::from(2);
             }
         },
     };
-    let base = SimConfig {
-        mutation,
-        ..SimConfig::default()
-    };
+    let base = S::base(mutation);
 
     if let Some(seed) = opts.replay {
-        let cfg = SimConfig { seed, ..base };
-        let report = run_sim(&cfg);
+        let cfg = base.reseed(seed);
+        let report = cfg.run();
         if opts.json {
-            println!("{}", render_sim_json(&report));
+            println!("{}", S::render_json(&report));
         } else {
-            print!("{}", render_trace(&report));
+            print!("{}", S::render_trace(&report, opts.replay_node.as_deref()));
         }
-        if let (Some(path), Some(_)) = (&opts.trace_out, &report.violation) {
+        let violated = S::violation(&report).is_some();
+        if let (Some(path), true) = (&opts.trace_out, violated) {
             write_failure_artifact(path, &cfg, &report);
         }
-        if opts.check && report.violation.is_some() {
+        if opts.check && violated {
             return ExitCode::from(1);
         }
         return ExitCode::SUCCESS;
     }
 
-    let out = sweep_jobs(&base, opts.seed_base, opts.seeds, false, opts.jobs);
+    let out = dst::sweep(&base, opts.seed_base, opts.seeds, false, opts.jobs);
     if opts.json {
-        println!("{}", render_sweep_json(&out, opts.seed_base));
+        println!("{}", render_sweep_json::<S>(&out, opts.seed_base));
     } else {
         println!(
-            "dst sweep: {} seed(s) from {} (mutation {}, {} job(s)): {} step(s), {} request(s), \
+            "{} sweep: {} seed(s) from {} (mutation {}, {} job(s)): {} step(s), {} request(s), \
              {} crash(es), {} violation(s)",
+            S::LABEL,
             out.seeds,
             opts.seed_base,
             mutation,
             opts.jobs,
-            out.steps,
-            out.requests,
-            out.crashes,
+            out.tally.steps,
+            out.tally.requests,
+            out.tally.crashes,
             out.violations.len()
         );
         for r in &out.violations {
-            let v = r.violation.as_ref().expect("violating report");
-            println!(
-                "  seed {}: {} at step {} (t={} ms, task {}): {}",
-                r.seed, v.invariant, v.step, v.at_ms, v.task, v.detail
-            );
+            let v = S::violation(r).expect("violating report");
+            println!("  seed {}: {v}", S::seed(r));
         }
     }
     if let (Some(path), Some(first)) = (&opts.trace_out, out.violations.first()) {
-        let cfg = SimConfig {
-            seed: first.seed,
-            ..base
-        };
-        write_failure_artifact(path, &cfg, first);
+        write_failure_artifact(path, &base.reseed(S::seed(first)), first);
     }
     if opts.check {
-        if !out.violations.is_empty() {
+        if let Some(first) = out.violations.first() {
             if !opts.json {
                 eprintln!(
-                    "runtime: dst check FAILED ({} violating seed(s); replay with \
-                     `runtime dst --replay {}{}`)",
+                    "runtime: {} check FAILED ({} violating seed(s); replay with \
+                     `runtime dst {}--replay {}{}`)",
+                    S::LABEL,
                     out.violations.len(),
-                    out.violations[0].seed,
-                    if mutation == Mutation::None {
+                    S::FLAGS,
+                    S::seed(first),
+                    if mutation == S::Mutation::default() {
                         String::new()
                     } else {
                         format!(" --mutation {mutation}")
@@ -1167,7 +1110,8 @@ fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
-        Ok(Some(Command::Dst(opts))) => return run_dst_cmd(opts),
+        Ok(Some(Command::Dst(opts))) if opts.fleet => return run_dst_cmd::<FleetConfig>(opts),
+        Ok(Some(Command::Dst(opts))) => return run_dst_cmd::<SimConfig>(opts),
         Ok(Some(Command::Serve(opts))) => return run_serve_cmd(opts),
         Ok(Some(Command::Client(opts))) => return run_client_cmd(opts),
         Ok(Some(Command::WireSoak(opts))) => return run_wire_soak_cmd(*opts),

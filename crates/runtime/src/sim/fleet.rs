@@ -60,10 +60,10 @@
 //!    pass, every live replica of a group holds the authoritative log
 //!    exactly.
 //!
-//! A failing seed shrinks with [`shrink_fleet_failure`]: the whole
-//! scenario — link faults, sensor faults, crashes, kills,
-//! decommissions — is one [`FleetEvent`] list, so
-//! [`dst::shrink_events`] cuts it to a 1-minimal reproducer.
+//! [`FleetConfig`] is a [`dst::Scenario`]: the whole scenario — link
+//! faults, sensor faults, crashes, kills, decommissions — is one
+//! [`FleetEvent`] list, so a failing seed shrinks with [`dst::shrink`]
+//! to a 1-minimal reproducer.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -72,8 +72,8 @@ use std::sync::Arc;
 use std::{cell::RefCell, fmt};
 
 use dst::{
-    shrink_events, Clock, Executor, LinkProfile, NetStats, NonceNamespace, SimDisk, SimDiskProfile,
-    SimNet, SkewedClock, StepRecord, TaskState, VirtualClock,
+    Clock, Executor, LinkProfile, NetStats, NonceNamespace, Scenario, SimDisk, SimDiskProfile,
+    SimNet, SkewedClock, StepRecord, Tally, TaskState, Violation, VirtualClock,
 };
 use faultsim::{Fault, FaultEvent, FaultSchedule};
 use rand::rngs::StdRng;
@@ -91,7 +91,7 @@ use crate::snapshot::{SnapshotError, SnapshotStore};
 use crate::soak::reference_array;
 use wire::{FleetMsg, HashRing, WireOutcome};
 
-use super::SimConfig;
+use super::{render_steps, SimConfig};
 
 /// A deliberate, known-bad change to the fleet, applied under
 /// simulation to prove the fleet invariant sweep catches real
@@ -124,16 +124,13 @@ impl fmt::Display for FleetMutation {
 }
 
 impl FleetMutation {
-    /// Parses the CLI spelling (`none`, `no-decommission-check`,
-    /// `no-epoch-fence`).
-    pub fn parse(s: &str) -> Option<FleetMutation> {
-        match s {
-            "none" => Some(FleetMutation::None),
-            "no-decommission-check" => Some(FleetMutation::NoDecommissionCheck),
-            "no-epoch-fence" => Some(FleetMutation::NoEpochFence),
-            _ => None,
-        }
-    }
+    /// Every mutation, the shipped fleet first; the CLI parses their
+    /// display spellings.
+    pub const ALL: [FleetMutation; 3] = [
+        FleetMutation::None,
+        FleetMutation::NoDecommissionCheck,
+        FleetMutation::NoEpochFence,
+    ];
 }
 
 /// Which fleet promise a simulation step broke.
@@ -181,22 +178,6 @@ impl fmt::Display for FleetInvariant {
         };
         write!(f, "{s}")
     }
-}
-
-/// One fleet invariant violation, pinned to the scheduler step that
-/// produced it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetViolation {
-    /// Which promise broke.
-    pub invariant: FleetInvariant,
-    /// Fabric time of the violating step, milliseconds.
-    pub at_ms: u64,
-    /// Global step index of the violating step.
-    pub step: u64,
-    /// Label of the task that was stepped.
-    pub task: String,
-    /// Human-readable specifics.
-    pub detail: String,
 }
 
 /// One event of a fleet scenario. The whole scenario — network
@@ -435,7 +416,7 @@ pub struct FleetReport {
     /// The mutation that was active.
     pub mutation: FleetMutation,
     /// The first invariant violation, if any (the run stops there).
-    pub violation: Option<FleetViolation>,
+    pub violation: Option<Violation<FleetInvariant>>,
     /// The full replayable schedule.
     pub trace: Vec<StepRecord>,
     /// Scheduler steps executed.
@@ -627,7 +608,7 @@ struct FleetWorld {
     /// Which replica completed `(group, req_id)` — a second completion
     /// by a different replica is split brain.
     completed: BTreeMap<(usize, u64), usize>,
-    violation: Option<FleetViolation>,
+    violation: Option<Violation<FleetInvariant>>,
     requests: u64,
     served_fresh: u64,
     served_degraded: u64,
@@ -649,7 +630,7 @@ struct FleetWorld {
 impl FleetWorld {
     fn flag(&mut self, invariant: FleetInvariant, at_ms: u64, detail: String) {
         if self.violation.is_none() {
-            self.violation = Some(FleetViolation {
+            self.violation = Some(Violation {
                 invariant,
                 at_ms,
                 step: 0,             // pinned by the per-step check
@@ -2204,102 +2185,47 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 }
 
 // ---------------------------------------------------------------------
-// Sweep, shrink, render
+// Scenario, render
 // ---------------------------------------------------------------------
 
-/// Aggregate of a fleet seed sweep.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetSweepOutcome {
-    /// Seeds run (counted in seed order; under `stop_at_first` the
-    /// count stops at the first violating seed exactly as a serial
-    /// loop would).
-    pub seeds: u64,
-    /// Total scheduler steps across counted seeds.
-    pub steps: u64,
-    /// Total client requests across counted seeds.
-    pub requests: u64,
-    /// Total replica crashes across counted seeds.
-    pub crashes: u64,
-    /// Full reports of the seeds that violated an invariant.
-    pub violations: Vec<FleetReport>,
-}
+impl Scenario for FleetConfig {
+    type Invariant = FleetInvariant;
+    type Event = FleetEvent;
+    type Report = FleetReport;
 
-/// Runs `count` fleet seeds from `seed_base` across `jobs` worker
-/// threads, merging per-seed results in seed order — the outcome is
-/// byte-identical at any job count, including under `stop_at_first`.
-pub fn fleet_sweep(
-    base: &FleetConfig,
-    seed_base: u64,
-    count: u64,
-    stop_at_first: bool,
-    jobs: usize,
-) -> FleetSweepOutcome {
-    let jobs = jobs.max(1);
-    let wave = (jobs * 4).max(1) as u64;
-    let mut out = FleetSweepOutcome::default();
-    let mut next = 0u64;
-    'outer: while next < count {
-        let len = wave.min(count - next) as usize;
-        let first = next;
-        let results = dst::run_indexed(len, jobs, |i| {
-            let mut cfg = base.clone();
-            cfg.seed = seed_base + first + i as u64;
-            run_fleet(&cfg)
-        });
-        for report in results {
-            out.seeds += 1;
-            out.steps += report.steps;
-            out.requests += report.requests;
-            out.crashes += report.crashes;
-            if report.violation.is_some() {
-                out.violations.push(report);
-                if stop_at_first {
-                    break 'outer;
-                }
-            }
+    fn reseed(&self, seed: u64) -> Self {
+        FleetConfig {
+            seed,
+            ..self.clone()
         }
-        next += len as u64;
     }
-    out
-}
 
-/// A failing fleet case cut down to a 1-minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct ShrunkFleetCase {
-    /// The minimized config: the explicit (pinned) event list; same
-    /// seed, so the schedule replays exactly.
-    pub config: FleetConfig,
-    /// The minimized run, still violating the same invariant.
-    pub report: FleetReport,
-}
+    fn run(&self) -> FleetReport {
+        run_fleet(self)
+    }
 
-/// Shrinks a failing fleet config's event list — link faults, sensor
-/// faults, crashes, kills, and decommissions together — to a 1-minimal
-/// set that still reproduces the *same* invariant violation. Returns
-/// `None` when the config does not fail in the first place.
-pub fn shrink_fleet_failure(cfg: &FleetConfig) -> Option<ShrunkFleetCase> {
-    let baseline = run_fleet(cfg);
-    let target = baseline.violation.as_ref()?.invariant;
-    let events = resolve_fleet_events(cfg);
-    let min_events = shrink_events(events, |evs| {
-        let mut c = cfg.clone();
-        c.events = Some(evs.to_vec());
-        run_fleet(&c)
-            .violation
-            .as_ref()
-            .is_some_and(|v| v.invariant == target)
-    });
-    let mut min_cfg = cfg.clone();
-    min_cfg.events = Some(min_events);
-    let report = run_fleet(&min_cfg);
-    debug_assert!(report
-        .violation
-        .as_ref()
-        .is_some_and(|v| v.invariant == target));
-    Some(ShrunkFleetCase {
-        config: min_cfg,
-        report,
-    })
+    fn violation(report: &FleetReport) -> Option<&Violation<FleetInvariant>> {
+        report.violation.as_ref()
+    }
+
+    fn tally(report: &FleetReport) -> Tally {
+        Tally {
+            steps: report.steps,
+            requests: report.requests,
+            crashes: report.crashes,
+        }
+    }
+
+    fn events(&self) -> Vec<FleetEvent> {
+        resolve_fleet_events(self)
+    }
+
+    fn pin(&self, events: Vec<FleetEvent>) -> Self {
+        FleetConfig {
+            events: Some(events),
+            ..self.clone()
+        }
+    }
 }
 
 /// The fleet node a task label belongs to: per-replica maintenance
@@ -2319,28 +2245,16 @@ pub fn task_node(task: &str) -> String {
 /// labels `shard-G-R`, `router`, `client-N`, `admin`, and
 /// `anti-entropy`.
 pub fn render_fleet_trace(report: &FleetReport, node: Option<&str>) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "# fleet dst trace: seed {} mutation {} ({} steps{})\n",
+    let header = format!(
+        "# fleet dst trace: seed {} mutation {} ({} steps{})",
         report.seed,
         report.mutation,
         report.trace.len(),
         node.map(|n| format!(", node {n}")).unwrap_or_default()
-    ));
-    for r in &report.trace {
-        if node.is_some_and(|n| task_node(&r.task) != n) {
-            continue;
-        }
-        s.push_str(&format!("{:>6}  t={:<8} {}\n", r.step, r.at_ms, r.task));
-    }
-    match &report.violation {
-        Some(v) => s.push_str(&format!(
-            "VIOLATION {} at step {} (t={} ms, task {}): {}\n",
-            v.invariant, v.step, v.at_ms, v.task, v.detail
-        )),
-        None => s.push_str("clean\n"),
-    }
-    s
+    );
+    render_steps(header, &report.trace, report.violation.as_ref(), |r| {
+        node.is_none_or(|n| task_node(&r.task) == n)
+    })
 }
 
 #[cfg(test)]
@@ -2372,7 +2286,7 @@ mod tests {
 
     #[test]
     fn shipped_fleet_survives_a_seed_sweep() {
-        let out = fleet_sweep(&quick(), 0, 10, false, 1);
+        let out = dst::sweep(&quick(), 0, 10, false, 1);
         assert_eq!(out.seeds, 10);
         assert!(
             out.violations.is_empty(),
@@ -2388,7 +2302,7 @@ mod tests {
             mutation: FleetMutation::NoDecommissionCheck,
             ..quick()
         };
-        let out = fleet_sweep(&base, 0, 100, true, 1);
+        let out = dst::sweep(&base, 0, 100, true, 1);
         let caught = out
             .violations
             .first()
@@ -2408,7 +2322,7 @@ mod tests {
 
         // And shrinks to a smaller scenario reproducing the same
         // invariant — for this bug, the decommission event alone.
-        let shrunk = shrink_fleet_failure(&failing).expect("baseline fails");
+        let shrunk = dst::shrink(&failing).expect("baseline fails");
         let kept = shrunk.config.events.as_ref().expect("events pinned");
         assert!(kept.len() <= resolve_fleet_events(&failing).len());
         assert!(
@@ -2428,7 +2342,7 @@ mod tests {
             mutation: FleetMutation::NoEpochFence,
             ..quick()
         };
-        let out = fleet_sweep(&base, 0, 200, true, 1);
+        let out = dst::sweep(&base, 0, 200, true, 1);
         let caught = out
             .violations
             .first()
@@ -2446,7 +2360,7 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(run_fleet(&failing), run_fleet(&failing));
-        let shrunk = shrink_fleet_failure(&failing).expect("baseline fails");
+        let shrunk = dst::shrink(&failing).expect("baseline fails");
         let kept = shrunk.config.events.as_ref().expect("events pinned");
         assert!(kept.len() <= resolve_fleet_events(&failing).len());
         assert!(
@@ -2481,9 +2395,9 @@ mod tests {
     #[test]
     fn parallel_fleet_sweep_is_byte_identical_to_serial() {
         let base = quick();
-        let serial = fleet_sweep(&base, 0, 6, false, 1);
+        let serial = dst::sweep(&base, 0, 6, false, 1);
         for jobs in [2, 4] {
-            assert_eq!(fleet_sweep(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
+            assert_eq!(dst::sweep(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
         }
     }
 

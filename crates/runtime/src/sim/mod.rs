@@ -32,8 +32,10 @@
 //!
 //! A failing seed replays byte-for-byte: the same [`SimConfig`]
 //! produces the same [`StepRecord`] trace and the same violation on
-//! every run. [`shrink_failure`] then delta-debugs the fault storm and
-//! crash schedule down to a 1-minimal reproducer.
+//! every run. [`SimConfig`] is a [`dst::Scenario`] whose event list is
+//! the fault storm and the crash schedule as one time-sorted
+//! [`SimEvent`] list, so [`dst::shrink`] delta-debugs both together
+//! down to a 1-minimal reproducer.
 
 pub mod fleet;
 
@@ -43,8 +45,8 @@ use std::sync::Arc;
 use std::{cell::RefCell, fmt};
 
 use dst::{
-    shrink_events, Clock, Executor, SimDisk, SimDiskProfile, SimDiskStats, StepRecord, TaskState,
-    VirtualClock,
+    Clock, Executor, Scenario, SimDisk, SimDiskProfile, SimDiskStats, StepRecord, Tally, TaskState,
+    Violation, VirtualClock,
 };
 use faultsim::{FaultEvent, FaultSchedule};
 use sensor::RingFault;
@@ -83,14 +85,9 @@ impl fmt::Display for Mutation {
 }
 
 impl Mutation {
-    /// Parses the CLI spelling (`none`, `no-cooldown-rebase`).
-    pub fn parse(s: &str) -> Option<Mutation> {
-        match s {
-            "none" => Some(Mutation::None),
-            "no-cooldown-rebase" => Some(Mutation::NoCooldownRebase),
-            _ => None,
-        }
-    }
+    /// Every mutation, the shipped service first; the CLI parses their
+    /// display spellings.
+    pub const ALL: [Mutation; 2] = [Mutation::None, Mutation::NoCooldownRebase];
 }
 
 /// Which service promise a simulation step broke.
@@ -129,20 +126,38 @@ impl fmt::Display for Invariant {
     }
 }
 
-/// One invariant violation, pinned to the scheduler step that produced
-/// it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Which promise broke.
-    pub invariant: Invariant,
-    /// Virtual time of the violating step, milliseconds.
-    pub at_ms: u64,
-    /// Global step index of the violating step.
-    pub step: u64,
-    /// Label of the task that was stepped.
-    pub task: String,
-    /// Human-readable specifics.
-    pub detail: String,
+/// One removable event of a single-service scenario: the fault storm
+/// and the crash schedule form one time-sorted list, so the shrinker
+/// minimizes both at once.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SimEvent {
+    /// A timed unit fault from the storm.
+    Fault(FaultEvent),
+    /// Power loss and recovery of the process at this virtual time, ms.
+    Crash(u64),
+}
+
+impl SimEvent {
+    /// The virtual time this event fires.
+    pub fn at_ms(&self) -> u64 {
+        match self {
+            SimEvent::Fault(e) => e.at_ms,
+            SimEvent::Crash(at_ms) => *at_ms,
+        }
+    }
+}
+
+impl fmt::Display for SimEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimEvent::Fault(e) => write!(
+                f,
+                "t={} ch={} {:?} for {} ms",
+                e.at_ms, e.channel, e.fault, e.duration_ms
+            ),
+            SimEvent::Crash(at_ms) => write!(f, "t={at_ms} crash + recover"),
+        }
+    }
 }
 
 /// Tuning for one simulated run.
@@ -215,7 +230,7 @@ pub struct SimReport {
     /// The mutation that was active.
     pub mutation: Mutation,
     /// The first invariant violation, if any (the run stops there).
-    pub violation: Option<Violation>,
+    pub violation: Option<Violation<Invariant>>,
     /// The full replayable schedule.
     pub trace: Vec<StepRecord>,
     /// Scheduler steps executed.
@@ -252,21 +267,29 @@ pub struct SimReport {
 /// Renders a replayable trace (and the violation, if any) for humans
 /// and CI artifacts.
 pub fn render_trace(report: &SimReport) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "# dst trace: seed {} mutation {} ({} steps)\n",
+    let header = format!(
+        "# dst trace: seed {} mutation {} ({} steps)",
         report.seed,
         report.mutation,
         report.trace.len()
-    ));
-    for r in &report.trace {
+    );
+    render_steps(header, &report.trace, report.violation.as_ref(), |_| true)
+}
+
+/// The shared trace layout: `header`, one line per kept step, then the
+/// violation line or `clean`.
+fn render_steps<I: fmt::Display>(
+    header: String,
+    trace: &[StepRecord],
+    violation: Option<&Violation<I>>,
+    keep: impl Fn(&StepRecord) -> bool,
+) -> String {
+    let mut s = header + "\n";
+    for r in trace.iter().filter(|r| keep(r)) {
         s.push_str(&format!("{:>6}  t={:<8} {}\n", r.step, r.at_ms, r.task));
     }
-    match &report.violation {
-        Some(v) => s.push_str(&format!(
-            "VIOLATION {} at step {} (t={} ms, task {}): {}\n",
-            v.invariant, v.step, v.at_ms, v.task, v.detail
-        )),
+    match violation {
+        Some(v) => s.push_str(&format!("VIOLATION {v}\n")),
         None => s.push_str("clean\n"),
     }
     s
@@ -282,7 +305,7 @@ struct SimWorld {
     /// live in the silicon and survive crashes.
     active: Vec<(u64, usize, RingFault)>,
     prev_breakers: Vec<BreakerState>,
-    violation: Option<Violation>,
+    violation: Option<Violation<Invariant>>,
     requests: u64,
     served_fresh: u64,
     served_degraded: u64,
@@ -738,160 +761,60 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     }
 }
 
-/// Aggregate of a seed sweep.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepOutcome {
-    /// Seeds run.
-    pub seeds: u64,
-    /// Total scheduler steps across all runs.
-    pub steps: u64,
-    /// Total client requests across all runs.
-    pub requests: u64,
-    /// Total crashes simulated.
-    pub crashes: u64,
-    /// Full reports of the seeds that violated an invariant.
-    pub violations: Vec<SimReport>,
-}
+impl Scenario for SimConfig {
+    type Invariant = Invariant;
+    type Event = SimEvent;
+    type Report = SimReport;
 
-/// Runs `count` seeds starting at `seed_base` and collects every
-/// violating report. `stop_at_first` ends the sweep at the first
-/// violation (what a bug hunt wants; a coverage sweep wants them all).
-pub fn sweep(base: &SimConfig, seed_base: u64, count: u64, stop_at_first: bool) -> SweepOutcome {
-    let mut out = SweepOutcome::default();
-    for i in 0..count {
-        let mut cfg = base.clone();
-        cfg.seed = seed_base + i;
-        let report = run_sim(&cfg);
-        out.seeds += 1;
-        out.steps += report.steps;
-        out.requests += report.requests;
-        out.crashes += report.crashes;
-        let violated = report.violation.is_some();
-        if violated {
-            out.violations.push(report);
-            if stop_at_first {
-                break;
-            }
+    fn reseed(&self, seed: u64) -> Self {
+        SimConfig {
+            seed,
+            ..self.clone()
         }
     }
-    out
-}
 
-/// Runs `count` seeds starting at `seed_base` across `jobs` worker
-/// threads, merging per-seed results in seed order so the outcome is
-/// byte-identical to the serial [`sweep`] — including under
-/// `stop_at_first`, where seeds are processed in waves and aggregation
-/// stops at the first violating seed exactly as the serial loop does
-/// (later seeds may be *computed* by the wave, but never counted).
-pub fn sweep_jobs(
-    base: &SimConfig,
-    seed_base: u64,
-    count: u64,
-    stop_at_first: bool,
-    jobs: usize,
-) -> SweepOutcome {
-    merge_sweep(count, stop_at_first, jobs, |i| {
-        let mut cfg = base.clone();
-        cfg.seed = seed_base + i;
-        let report = run_sim(&cfg);
-        let violated = report.violation.is_some();
-        SeedResult {
+    fn run(&self) -> SimReport {
+        run_sim(self)
+    }
+
+    fn violation(report: &SimReport) -> Option<&Violation<Invariant>> {
+        report.violation.as_ref()
+    }
+
+    fn tally(report: &SimReport) -> Tally {
+        Tally {
             steps: report.steps,
             requests: report.requests,
             crashes: report.crashes,
-            violating: violated.then_some(report),
         }
-    })
-}
+    }
 
-/// One seed's contribution to a sweep aggregate.
-pub(crate) struct SeedResult {
-    pub(crate) steps: u64,
-    pub(crate) requests: u64,
-    pub(crate) crashes: u64,
-    pub(crate) violating: Option<SimReport>,
-}
+    /// The resolved fault storm and the crash times, merged by time
+    /// (a fault sorts before a crash at the same instant).
+    fn events(&self) -> Vec<SimEvent> {
+        let mut events: Vec<SimEvent> = resolve_events(self)
+            .into_iter()
+            .map(SimEvent::Fault)
+            .chain(self.crashes.iter().copied().map(SimEvent::Crash))
+            .collect();
+        events.sort_by_key(SimEvent::at_ms);
+        events
+    }
 
-/// The shared serial-equivalent merge: runs seeds in waves of
-/// `jobs * 4` via [`dst::run_indexed`] and folds results in seed
-/// order, stopping (when asked) at the first violating seed so the
-/// aggregate matches what the serial loop would have accumulated.
-pub(crate) fn merge_sweep(
-    count: u64,
-    stop_at_first: bool,
-    jobs: usize,
-    run_one: impl Fn(u64) -> SeedResult + Sync,
-) -> SweepOutcome {
-    let jobs = jobs.max(1);
-    let wave = (jobs * 4).max(1) as u64;
-    let mut out = SweepOutcome::default();
-    let mut next = 0u64;
-    'outer: while next < count {
-        let len = wave.min(count - next) as usize;
-        let base_seed = next;
-        let results = dst::run_indexed(len, jobs, |i| run_one(base_seed + i as u64));
-        for r in results {
-            out.seeds += 1;
-            out.steps += r.steps;
-            out.requests += r.requests;
-            out.crashes += r.crashes;
-            if let Some(report) = r.violating {
-                out.violations.push(report);
-                if stop_at_first {
-                    break 'outer;
-                }
+    fn pin(&self, events: Vec<SimEvent>) -> Self {
+        let (mut faults, mut crashes) = (Vec::new(), Vec::new());
+        for ev in events {
+            match ev {
+                SimEvent::Fault(e) => faults.push(e),
+                SimEvent::Crash(at_ms) => crashes.push(at_ms),
             }
         }
-        next += len as u64;
+        SimConfig {
+            events: Some(faults),
+            crashes,
+            ..self.clone()
+        }
     }
-    out
-}
-
-/// A failing case cut down to a 1-minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct ShrunkCase {
-    /// The minimized config: explicit (pinned) fault events and crash
-    /// times; same seed, so the schedule replays exactly.
-    pub config: SimConfig,
-    /// The minimized run, still violating the same invariant.
-    pub report: SimReport,
-}
-
-/// Shrinks a failing config's fault storm and crash schedule to a
-/// 1-minimal set that still reproduces the *same* invariant violation.
-/// Returns `None` when the config does not fail in the first place.
-pub fn shrink_failure(cfg: &SimConfig) -> Option<ShrunkCase> {
-    let baseline = run_sim(cfg);
-    let target = baseline.violation.as_ref()?.invariant;
-    let reproduces_with = |events: Option<Vec<FaultEvent>>, crashes: Vec<u64>| {
-        let mut c = cfg.clone();
-        c.events = events;
-        c.crashes = crashes;
-        c
-    };
-    let events = resolve_events(cfg);
-    let min_events = shrink_events(events, |evs| {
-        run_sim(&reproduces_with(Some(evs.to_vec()), cfg.crashes.clone()))
-            .violation
-            .as_ref()
-            .is_some_and(|v| v.invariant == target)
-    });
-    let min_crashes = shrink_events(cfg.crashes.clone(), |crs| {
-        run_sim(&reproduces_with(Some(min_events.clone()), crs.to_vec()))
-            .violation
-            .as_ref()
-            .is_some_and(|v| v.invariant == target)
-    });
-    let min_cfg = reproduces_with(Some(min_events), min_crashes);
-    let report = run_sim(&min_cfg);
-    debug_assert!(report
-        .violation
-        .as_ref()
-        .is_some_and(|v| v.invariant == target));
-    Some(ShrunkCase {
-        config: min_cfg,
-        report,
-    })
 }
 
 #[cfg(test)]
@@ -927,9 +850,9 @@ mod tests {
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
         let base = quick();
-        let serial = sweep(&base, 0, 6, false);
-        for jobs in [1, 2, 4] {
-            assert_eq!(sweep_jobs(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
+        let serial = dst::sweep(&base, 0, 6, false, 1);
+        for jobs in [2, 4] {
+            assert_eq!(dst::sweep(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
         }
         // stop_at_first aggregates must also match the serial loop,
         // even when later seeds were computed speculatively in a wave.
@@ -937,10 +860,10 @@ mod tests {
             mutation: Mutation::NoCooldownRebase,
             ..quick()
         };
-        let serial_stop = sweep(&mutated, 0, 12, true);
+        let serial_stop = dst::sweep(&mutated, 0, 12, true, 1);
         for jobs in [2, 4] {
             assert_eq!(
-                sweep_jobs(&mutated, 0, 12, true, jobs),
+                dst::sweep(&mutated, 0, 12, true, jobs),
                 serial_stop,
                 "stop_at_first jobs={jobs}"
             );
@@ -959,7 +882,7 @@ mod tests {
 
     #[test]
     fn shipped_service_survives_a_seed_sweep() {
-        let out = sweep(&quick(), 0, 15, false);
+        let out = dst::sweep(&quick(), 0, 15, false, 1);
         assert_eq!(out.seeds, 15);
         assert!(
             out.violations.is_empty(),
@@ -967,7 +890,7 @@ mod tests {
             out.violations[0].seed,
             out.violations[0].violation
         );
-        assert!(out.crashes >= 15, "every seed crashes at least once");
+        assert!(out.tally.crashes >= 15, "every seed crashes at least once");
     }
 
     #[test]
@@ -976,7 +899,7 @@ mod tests {
             mutation: Mutation::NoCooldownRebase,
             ..quick()
         };
-        let out = sweep(&base, 0, 200, true);
+        let out = dst::sweep(&base, 0, 200, true, 1);
         let caught = out
             .violations
             .first()
@@ -999,19 +922,51 @@ mod tests {
         assert_eq!(r1, r2, "failing seed must replay byte-for-byte");
         assert_eq!(r1.violation.as_ref(), Some(v));
 
-        // And shrinks to a minimal storm that still reproduces it.
-        let shrunk = shrink_failure(&failing).expect("baseline fails, so shrinking must succeed");
-        let kept = shrunk.config.events.as_ref().expect("events pinned").len();
-        assert!(
-            kept <= resolve_events(&failing).len(),
-            "shrinking must never grow the storm"
-        );
+        // And shrinks faults and crashes together to a jointly
+        // 1-minimal reproducer: dropping any one kept event, fault or
+        // crash, makes the overhang disappear.
+        let shrunk = dst::shrink(&failing).expect("baseline fails, so shrinking must succeed");
+        let kept = shrunk.config.events();
+        assert!(kept.len() <= failing.events().len());
         assert_eq!(
             shrunk.report.violation.as_ref().map(|w| w.invariant),
             Some(Invariant::CooldownOverhang),
             "the shrunk case reproduces the same invariant"
         );
-        assert!(!shrunk.config.crashes.is_empty(), "this bug needs a crash");
+        assert!(
+            kept.iter().any(|e| matches!(e, SimEvent::Crash(_))),
+            "this bug needs a crash: {kept:?}"
+        );
+        for drop in 0..kept.len() {
+            let mut thinner = kept.clone();
+            thinner.remove(drop);
+            let report = run_sim(&shrunk.config.pin(thinner));
+            assert!(
+                report
+                    .violation
+                    .as_ref()
+                    .is_none_or(|v| v.invariant != Invariant::CooldownOverhang),
+                "dropping kept event #{drop} ({}) still reproduces — not 1-minimal",
+                kept[drop]
+            );
+        }
+    }
+
+    #[test]
+    fn pinning_the_resolved_events_replays_the_same_run() {
+        let cfg = SimConfig { seed: 4, ..quick() };
+        let events = cfg.events();
+        assert!(events.windows(2).all(|w| w[0].at_ms() <= w[1].at_ms()));
+        assert_eq!(
+            events
+                .iter()
+                .filter(|e| matches!(e, SimEvent::Crash(_)))
+                .count(),
+            cfg.crashes.len()
+        );
+        let pinned = cfg.pin(events.clone());
+        assert_eq!(pinned.events(), events);
+        assert_eq!(run_sim(&pinned), run_sim(&cfg));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! byte-for-byte, and the shrunk reproducers are **1-minimal** —
 //! remove any single kept event and the violation disappears.
 
+use dst::{shrink, sweep};
 use runtime::{
-    fleet_sweep, render_fleet_trace, resolve_fleet_events, run_fleet, shrink_fleet_failure,
-    task_node, FleetConfig, FleetInvariant, FleetMutation,
+    render_fleet_trace, resolve_fleet_events, run_fleet, task_node, FleetConfig, FleetInvariant,
+    FleetMutation,
 };
 
 fn base() -> FleetConfig {
@@ -16,7 +17,7 @@ fn base() -> FleetConfig {
 
 #[test]
 fn shipped_fleet_is_clean_across_seeds_at_any_job_count() {
-    let serial = fleet_sweep(&base(), 0, 8, false, 1);
+    let serial = sweep(&base(), 0, 8, false, 1);
     assert_eq!(serial.seeds, 8);
     assert!(
         serial.violations.is_empty(),
@@ -24,7 +25,7 @@ fn shipped_fleet_is_clean_across_seeds_at_any_job_count() {
         serial.violations[0].seed,
         serial.violations[0].violation
     );
-    let parallel = fleet_sweep(&base(), 0, 8, false, 4);
+    let parallel = sweep(&base(), 0, 8, false, 4);
     assert_eq!(parallel, serial, "parallel sweep must be byte-identical");
 }
 
@@ -35,7 +36,7 @@ fn known_bad_router_mutation_shrinks_to_a_one_minimal_reproducer() {
         ..base()
     };
     // Find a failing seed the way CI does.
-    let out = fleet_sweep(&mutated, 0, 200, true, 1);
+    let out = sweep(&mutated, 0, 200, true, 1);
     let caught = out
         .violations
         .first()
@@ -63,7 +64,7 @@ fn known_bad_router_mutation_shrinks_to_a_one_minimal_reproducer() {
     // Shrink, then prove 1-minimality: the kept event set still
     // reproduces the violation, and dropping ANY single kept event
     // makes it vanish.
-    let shrunk = shrink_fleet_failure(&failing).expect("baseline must fail");
+    let shrunk = shrink(&failing).expect("baseline must fail");
     let kept = shrunk.config.events.clone().expect("events pinned");
     assert!(!kept.is_empty(), "this violation needs at least one event");
     assert!(kept.len() <= resolve_fleet_events(&failing).len());
@@ -96,7 +97,7 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
         ..base()
     };
     // Find a failing seed the way CI does.
-    let out = fleet_sweep(&mutated, 0, 200, true, 1);
+    let out = sweep(&mutated, 0, 200, true, 1);
     let caught = out
         .violations
         .first()
@@ -117,7 +118,7 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
     assert_eq!(a, b);
 
     // Shrink, then prove 1-minimality for the split-brain too.
-    let shrunk = shrink_fleet_failure(&failing).expect("baseline must fail");
+    let shrunk = shrink(&failing).expect("baseline must fail");
     let kept = shrunk.config.events.clone().expect("events pinned");
     assert!(!kept.is_empty(), "a split-brain needs at least one event");
     assert_eq!(
