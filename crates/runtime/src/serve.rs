@@ -56,13 +56,13 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dst::{Clock, RealFs, SystemClock};
 use netcheck::ReplicationTuning;
-use wire::{Decoder, FleetMsg, HashRing, MapEntry, WireOutcome};
+use wire::{Acceptor, Decoder, FleetMsg, HashRing, MapEntry, WireOutcome};
 
 use crate::error::{Result, RuntimeError};
 use crate::retry::RetryPolicy;
@@ -74,8 +74,8 @@ use crate::service::{
 use crate::snapshot::{SnapshotError, SnapshotStore};
 use crate::soak::reference_array;
 
-/// Poll tick for non-blocking accept, socket reads, and the polled
-/// write deadline, milliseconds.
+/// Poll tick for socket reads and the polled write deadline,
+/// milliseconds.
 const POLL_MS: u64 = 25;
 
 /// Ring virtual nodes per shard group — matches the simulated fleet.
@@ -295,7 +295,6 @@ struct Inner {
     epoch_ms: u64,
     groups: Vec<ShardGroup>,
     in_flight: AtomicUsize,
-    accepting: AtomicBool,
     draining: AtomicBool,
     stats: Counters,
 }
@@ -344,14 +343,19 @@ pub struct DrainReport {
     pub stats: WireServerStats,
 }
 
-/// A running wire fleet server. Dropping it without [`drain`] leaks
-/// its threads until process exit; tests and the CLI should drain.
+/// A running wire fleet server. [`drain`] shuts it down gracefully.
+/// Dropping it without a drain stops accepting (the port is free when
+/// the drop returns), tells open connections to close and stops every
+/// replica core, but writes no checkpoint and does not wait for the
+/// connection threads.
 ///
 /// [`drain`]: WireServer::drain
 pub struct WireServer {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    /// The accept loop; its state is the connection threads, joined by
+    /// [`WireServer::drain`].
+    acceptor: Option<Acceptor<Vec<JoinHandle<()>>>>,
 }
 
 impl WireServer {
@@ -427,7 +431,6 @@ impl WireServer {
             epoch_ms,
             groups,
             in_flight: AtomicUsize::new(0),
-            accepting: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             stats: Counters::default(),
         });
@@ -436,18 +439,17 @@ impl WireServer {
             TcpListener::bind(bind.unwrap_or_else(|| "127.0.0.1:0".parse().expect("literal addr")))
                 .map_err(io_snapshot_err)?;
         let addr = listener.local_addr().map_err(io_snapshot_err)?;
-        listener.set_nonblocking(true).map_err(io_snapshot_err)?;
-
         let accept_inner = Arc::clone(&inner);
-        let accept_thread = thread::Builder::new()
-            .name("wire-accept".into())
-            .spawn(move || accept_loop(&accept_inner, &listener))
-            .expect("spawn accept loop");
+        let acceptor =
+            Acceptor::spawn(listener, "wire-accept", Vec::new(), move |conns, stream| {
+                spawn_connection(&accept_inner, conns, stream);
+            })
+            .map_err(io_snapshot_err)?;
 
         Ok(WireServer {
             inner,
             addr,
-            accept_thread: Some(accept_thread),
+            acceptor: Some(acceptor),
         })
     }
 
@@ -679,12 +681,12 @@ impl WireServer {
     /// poisoned replica.
     pub fn drain(mut self) -> Result<DrainReport> {
         let in_flight_at_drain = self.inner.in_flight.load(Ordering::SeqCst);
-        self.inner.accepting.store(false, Ordering::SeqCst);
         self.inner.draining.store(true, Ordering::SeqCst);
-        let conn_threads = match self.accept_thread.take() {
-            Some(h) => h.join().unwrap_or_default(),
-            None => Vec::new(),
-        };
+        let conn_threads = self
+            .acceptor
+            .take()
+            .and_then(Acceptor::stop)
+            .unwrap_or_default();
         for h in conn_threads {
             drop(h.join());
         }
@@ -712,6 +714,23 @@ impl WireServer {
             in_flight_at_drain,
             stats: self.inner.snapshot_stats(),
         })
+    }
+}
+
+impl Drop for WireServer {
+    /// Stops accepting and retires the cores without the drain's
+    /// checkpoint or joins; after a drain only repeats its stop flags.
+    fn drop(&mut self) {
+        self.inner.draining.store(true, Ordering::SeqCst);
+        drop(self.acceptor.take());
+        for g in &self.inner.groups {
+            for replica in &g.replicas {
+                // A poisoned replica still gets its stop flag: a panic
+                // here would abort a thread that is already unwinding.
+                let sh = replica.lock().unwrap_or_else(PoisonError::into_inner);
+                sh.core.request_stop();
+            }
+        }
     }
 }
 
@@ -789,33 +808,18 @@ fn start_replica(
     })
 }
 
-/// Accepts until drain, spawning one thread per connection; returns
-/// the connection handles so [`WireServer::drain`] can join them.
-fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
-    let mut conns = Vec::new();
-    let mut conn_idx: u64 = 0;
-    while inner.accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                inner.stats.connections.fetch_add(1, Ordering::SeqCst);
-                let conn_inner = Arc::clone(inner);
-                let idx = conn_idx;
-                conn_idx += 1;
-                // Spawn failure (out of threads) drops the connection.
-                if let Ok(h) = thread::Builder::new()
-                    .name(format!("wire-conn-{idx}"))
-                    .spawn(move || connection_loop(&conn_inner, stream))
-                {
-                    conns.push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
-        }
+/// Hands one accepted connection to its own thread, kept in `conns`
+/// so [`WireServer::drain`] can join it.
+fn spawn_connection(inner: &Arc<Inner>, conns: &mut Vec<JoinHandle<()>>, stream: TcpStream) {
+    let idx = inner.stats.connections.fetch_add(1, Ordering::SeqCst);
+    let conn_inner = Arc::clone(inner);
+    // Spawn failure (out of threads) drops the connection.
+    if let Ok(h) = thread::Builder::new()
+        .name(format!("wire-conn-{idx}"))
+        .spawn(move || connection_loop(&conn_inner, stream))
+    {
+        conns.push(h);
     }
-    conns
 }
 
 /// Writes `bytes` completely within `budget`, polling between partial

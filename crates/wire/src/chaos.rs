@@ -37,6 +37,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::accept::Acceptor;
+
 /// Per-chunk fault probabilities and magnitudes. All probabilities
 /// are independent; `0.0` disables a fault.
 #[derive(Debug, Clone)]
@@ -158,19 +160,23 @@ impl ChaosStats {
     }
 }
 
-/// A running chaos proxy. Dropping the handle leaks the listener
-/// thread until [`ChaosProxy::shutdown`] is called; tests should call
-/// it explicitly.
+/// A running chaos proxy. [`ChaosProxy::shutdown`] and dropping the
+/// handle do the same: stop accepting and release the port, and tell
+/// the forwarding threads to exit.
 pub struct ChaosProxy {
     addr: SocketAddr,
     stats: Arc<ChaosStats>,
+    /// Tells the forwarding threads to exit.
     stop: Arc<AtomicBool>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    acceptor: Option<Acceptor<u64>>,
 }
 
 impl ChaosProxy {
     /// Starts a proxy on an ephemeral `127.0.0.1` port, forwarding to
-    /// `upstream` with `profile` faults drawn from `seed`.
+    /// `upstream` with `profile` faults drawn from `seed`. The shared
+    /// [`Acceptor`] loop keeps accepting through transient accept
+    /// errors (see [`crate::accept`]), so one `ConnectionAborted` does
+    /// not end a soak's proxy.
     pub fn start(
         upstream: SocketAddr,
         profile: ChaosProfile,
@@ -178,41 +184,29 @@ impl ChaosProxy {
     ) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stats = Arc::new(ChaosStats::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
+        let acceptor = {
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let mut conn_idx = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            conn_idx += 1;
-                            stats.connections.fetch_add(1, Ordering::Relaxed);
-                            spawn_connection(
-                                client,
-                                upstream,
-                                profile.clone(),
-                                seed ^ conn_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                                Arc::clone(&stats),
-                                Arc::clone(&stop),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
+            Acceptor::spawn(listener, "chaos-accept", 0u64, move |conn_idx, client| {
+                *conn_idx += 1;
+                stats.connections.fetch_add(1, Ordering::Relaxed);
+                spawn_connection(
+                    client,
+                    upstream,
+                    profile.clone(),
+                    seed ^ conn_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    Arc::clone(&stats),
+                    Arc::clone(&stop),
+                );
+            })?
         };
         Ok(ChaosProxy {
             addr,
             stats,
             stop,
-            accept_thread: Some(accept_thread),
+            acceptor: Some(acceptor),
         })
     }
 
@@ -227,12 +221,17 @@ impl ChaosProxy {
     }
 
     /// Stops accepting and joins the listener thread. Forwarding
-    /// threads for live connections exit when either endpoint closes.
-    pub fn shutdown(mut self) {
+    /// threads for live connections exit when either endpoint closes or
+    /// at their next read tick.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ChaosProxy {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        drop(self.acceptor.take());
     }
 }
 
@@ -384,6 +383,18 @@ mod tests {
         assert_eq!(&back, b"thermal");
         echo.join().unwrap();
         proxy.shutdown();
+    }
+
+    /// Dropping the handle without `shutdown` still joins the accept
+    /// thread and closes the listener, so the port can be bound again.
+    #[test]
+    fn dropped_proxy_releases_its_port() {
+        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+        let proxy =
+            ChaosProxy::start(upstream.local_addr().unwrap(), ChaosProfile::calm(), 3).unwrap();
+        let addr = proxy.addr();
+        drop(proxy);
+        TcpListener::bind(addr).expect("a dropped proxy must release its port");
     }
 
     /// With `half_open_prob = 1`, the first chunk goes deaf: nothing

@@ -24,6 +24,9 @@
 //!   configuration (netcheck rule NC1501).
 //! * [`ring`] — the consistent-hash [`HashRing`], keyed by the shared
 //!   [`dst::hash::fnv1a64`].
+//! * [`accept`] — the one accept loop of the server and the proxy:
+//!   blocks in `accept()`, stops through a wake-up connection, and
+//!   keeps accepting through transient errors.
 //! * [`chaos`] — a seeded TCP chaos proxy for soak tests: delay,
 //!   drop, duplicate, byte-dribble slowloris, garbage injection, and
 //!   mid-stream close, each drawn from a per-connection seeded RNG so
@@ -36,11 +39,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accept;
 pub mod chaos;
 pub mod frame;
 pub mod msg;
 pub mod ring;
 
+pub use accept::Acceptor;
 pub use chaos::{ChaosProfile, ChaosProxy, ChaosStats};
 pub use frame::{
     decode_frame, encode_frame, max_response_frame_len, Decoder, WireError, DEFAULT_FRAME_BUDGET,
