@@ -1,41 +1,48 @@
 //! `figures` — regenerate the paper's figures and claims.
 //!
 //! ```text
-//! figures [--out <dir>] <experiment>...|all
+//! figures [--out <dir>] [--list] <experiment>...|all
 //! ```
 //!
 //! Experiments: fig1 fig2 fig3 ta tb tc td abl1 abl2 abl3 (see DESIGN.md).
+//!
+//! Exit status: 0 clean; 2 on usage errors.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bench::{run_experiment, ALL_EXPERIMENTS};
+use tsense_cli::{Flags, Kind, Operands, Switch, Value};
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir = PathBuf::from("results");
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        if pos + 1 >= args.len() {
-            eprintln!("--out requires a directory argument");
-            return ExitCode::FAILURE;
-        }
-        out_dir = PathBuf::from(args.remove(pos + 1));
-        args.remove(pos);
-    }
-    if args.iter().any(|a| a == "--list") {
+    let usage = format!(
+        "usage: figures [--out <dir>] [--list] <experiment>...|all\nexperiments: {}",
+        ALL_EXPERIMENTS.join(" ")
+    );
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--out", Value),
+        ("--list", Switch),
+        ("EXPERIMENT", Operands),
+    ];
+    let f = Flags::parse("figures", &usage, FLAGS, std::env::args().skip(1));
+    if f.has("--list") {
         for id in ALL_EXPERIMENTS {
             println!("{id}");
         }
         return ExitCode::SUCCESS;
     }
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: figures [--out <dir>] [--list] <experiment>...|all");
-        eprintln!("experiments: {}", ALL_EXPERIMENTS.join(" "));
-        return if args.is_empty() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+    let out_dir = f.or("--out", PathBuf::from("results"));
+    let args = f.operands();
+    if args.is_empty() {
+        f.fail("no experiment given");
+    }
+    if let Some(id) = args
+        .iter()
+        .find(|a| *a != "all" && !ALL_EXPERIMENTS.contains(&a.as_str()))
+    {
+        f.fail(format!("unknown experiment `{id}`"));
     }
     let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
         ALL_EXPERIMENTS.to_vec()
@@ -45,13 +52,6 @@ fn main() -> ExitCode {
     let mut full = String::new();
     let save_full = ids.len() == ALL_EXPERIMENTS.len();
     for id in &ids {
-        if !ALL_EXPERIMENTS.contains(id) {
-            eprintln!(
-                "unknown experiment `{id}`; known: {}",
-                ALL_EXPERIMENTS.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
         let report = run_experiment(id, &out_dir);
         println!("=== {id} ===");
         println!("{report}");

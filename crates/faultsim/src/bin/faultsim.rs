@@ -18,9 +18,12 @@
 //!
 //! Exit status: 0 clean; 1 when `--check` fails; 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use faultsim::{render_json, render_text, run_campaign, CampaignConfig};
+use tsense_cli::{Flags, Kind, Switch, Value};
 
 const USAGE: &str = "usage: faultsim [--seed N] [--faults N] [--junction T] [--tolerance T] \
                      [--spice] [--check] [--verbose] [--json]";
@@ -35,60 +38,31 @@ struct Options {
     json: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        config: CampaignConfig::default(),
-        check: false,
-        verbose: false,
-        json: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spice" => opts.config.with_spice = true,
-            "--check" => opts.check = true,
-            "--verbose" => opts.verbose = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.config.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a value")?;
-                opts.config.faults = v.parse().map_err(|_| format!("bad fault count `{v}`"))?;
-            }
-            "--junction" => {
-                let v = it.next().ok_or("--junction needs a value")?;
-                opts.config.junction_c = v.parse().map_err(|_| format!("bad temperature `{v}`"))?;
-            }
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a value")?;
-                let t: f64 = v.parse().map_err(|_| format!("bad tolerance `{v}`"))?;
-                if t <= 0.0 || t.is_nan() {
-                    return Err(format!("tolerance must be positive, got `{v}`"));
-                }
-                opts.config.tolerance_c = t;
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
-        }
-    }
-    Ok(Some(opts))
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("faultsim: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--seed", Value),
+        ("--faults", Value),
+        ("--junction", Value),
+        ("--tolerance", Value),
+        ("--spice", Switch),
+        ("--check", Switch),
+        ("--verbose", Switch),
+        ("--json", Switch),
+    ];
+    let f = Flags::parse("faultsim", USAGE, FLAGS, std::env::args().skip(1));
+    let config = CampaignConfig::default();
+    let opts = Options {
+        config: CampaignConfig {
+            seed: f.or("--seed", config.seed),
+            faults: f.or("--faults", config.faults),
+            junction_c: f.finite("--junction", config.junction_c),
+            tolerance_c: f.positive("--tolerance", config.tolerance_c),
+            with_spice: f.has("--spice"),
+            ..config
+        },
+        check: f.has("--check"),
+        verbose: f.has("--verbose"),
+        json: f.has("--json"),
     };
     let result = run_campaign(&opts.config);
     if opts.json {
@@ -96,27 +70,19 @@ fn main() -> ExitCode {
     } else {
         print!("{}", render_text(&result, opts.verbose));
     }
-    if opts.check {
-        let clean = result.hung() == 0
-            && result.panics == 0
-            && result.silent() == 0
-            && result.coverage() >= COVERAGE_FLOOR;
-        if !clean {
-            if !opts.json {
-                eprintln!(
-                    "faultsim: check FAILED (hang {} panic {} silent {} coverage {:.1} % < {:.0} %)",
-                    result.hung(),
-                    result.panics,
-                    result.silent(),
-                    result.coverage() * 100.0,
-                    COVERAGE_FLOOR * 100.0,
-                );
-            }
-            return ExitCode::from(1);
-        }
-        if !opts.json {
-            println!("check PASSED");
-        }
-    }
-    ExitCode::SUCCESS
+    let clean = result.hung() == 0
+        && result.panics == 0
+        && result.silent() == 0
+        && result.coverage() >= COVERAGE_FLOOR;
+    let failure = (!clean).then(|| {
+        format!(
+            "faultsim: check FAILED (hang {} panic {} silent {} coverage {:.1} % < {:.0} %)",
+            result.hung(),
+            result.panics,
+            result.silent(),
+            result.coverage() * 100.0,
+            COVERAGE_FLOOR * 100.0,
+        )
+    });
+    tsense_cli::verdict(opts.check, opts.json, failure)
 }

@@ -3,8 +3,18 @@
 //! ```text
 //! netcheck [--json] [--sarif FILE] [--rules] [--jobs N] [--cache DIR]
 //!          [--no-cache] [--baseline FILE] [--deny-warnings] FILE...
-//! netcheck certify [--json] [--sarif FILE] [--baseline FILE]
+//! netcheck certify [--json] [--sarif FILE] [--rules] [--baseline FILE]
 //!          [--deny-warnings] BUNDLE...
+//!
+//! --json            emit diagnostics (or the certificate) as JSON
+//! --sarif FILE      additionally write diagnostics as SARIF 2.1.0
+//! --rules           list every rule and exit
+//! --jobs N          lint N files in parallel (lint mode)
+//! --cache DIR       reuse reports for unchanged files (lint mode)
+//! --no-cache        ignore and do not touch the cache (lint mode)
+//! --baseline FILE   suppress accepted findings (RULE pattern per line)
+//! --deny-warnings   exit nonzero on warnings, not just errors
+//! --help            this text
 //! ```
 //!
 //! **Lint mode** (default): each input file is linted according to its
@@ -26,7 +36,10 @@
 //! Exit status is unified across both modes by [`netcheck::exit_for`]:
 //! `0` clean/proven, `1` if any rule fired at error severity — or at
 //! warning severity under `--deny-warnings` — and `2` for usage, I/O,
-//! or bundle/model evaluation problems.
+//! or bundle/model evaluation problems. `--help` prints the usage to
+//! stdout and exits `0`.
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -36,30 +49,30 @@ use netcheck::{
     check_deck, check_library, check_netlist_dataflow, check_sensor_config, exit_for, run_targets,
     AnalysisTarget, Baseline, Diagnostic, DriverOptions, Location, Report, RULES,
 };
+use tsense_cli::{Flags, Kind, Operands, Switch, Value};
 use tsense_core::units::Celsius;
 
-fn usage() {
-    eprintln!("usage: netcheck [--json] [--sarif FILE] [--rules] [--jobs N] [--cache DIR]");
-    eprintln!("                [--no-cache] [--baseline FILE] [--deny-warnings] FILE...");
-    eprintln!("       netcheck certify [--json] [--sarif FILE] [--baseline FILE]");
-    eprintln!("                [--deny-warnings] BUNDLE...");
-    eprintln!();
-    eprintln!("  --json            emit diagnostics (or the certificate) as JSON");
-    eprintln!("  --sarif FILE      additionally write diagnostics as SARIF 2.1.0");
-    eprintln!("  --rules           list every rule and exit");
-    eprintln!("  --jobs N          lint N files in parallel (lint mode)");
-    eprintln!("  --cache DIR       reuse reports for unchanged files (lint mode)");
-    eprintln!("  --no-cache        ignore and do not touch the cache");
-    eprintln!("  --baseline FILE   suppress accepted findings (RULE pattern per line)");
-    eprintln!("  --deny-warnings   exit nonzero on warnings, not just errors");
-    eprintln!();
-    eprintln!("  In lint mode, FILE ending in .lib/.liberty lints as a Liberty");
-    eprintln!("  timing library, .toml as a certification bundle (configuration");
-    eprintln!("  rules plus the NC11xx-NC14xx netlist dataflow lints), anything");
-    eprintln!("  else as a SPICE deck.");
-    eprintln!("  In certify mode, each BUNDLE is an INI-style certification");
-    eprintln!("  bundle; the interval chain and verdict are printed per bundle.");
-}
+const USAGE: &str = "\
+usage: netcheck [--json] [--sarif FILE] [--rules] [--jobs N] [--cache DIR]
+                [--no-cache] [--baseline FILE] [--deny-warnings] FILE...
+       netcheck certify [--json] [--sarif FILE] [--rules] [--baseline FILE]
+                [--deny-warnings] BUNDLE...";
+
+/// Lint mode's flags; certify mode takes all but [`LINT_ONLY`].
+const FLAGS: &[(&str, Kind)] = &[
+    ("--json", Switch),
+    ("--sarif", Value),
+    ("--rules", Switch),
+    ("--jobs", Value),
+    ("--cache", Value),
+    ("--no-cache", Switch),
+    ("--baseline", Value),
+    ("--deny-warnings", Switch),
+    ("FILE", Operands),
+];
+
+/// The parallel driver's flags, which only lint mode runs.
+const LINT_ONLY: [&str; 3] = ["--jobs", "--cache", "--no-cache"];
 
 fn list_rules() {
     for rule in RULES {
@@ -190,75 +203,6 @@ struct Options {
     baseline: Option<String>,
     deny_warnings: bool,
     files: Vec<String>,
-}
-
-/// Parses flags and file operands; `Err` carries the exit code.
-fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
-    let mut opts = Options {
-        json: false,
-        sarif: None,
-        jobs: 1,
-        cache: None,
-        no_cache: false,
-        baseline: None,
-        deny_warnings: false,
-        files: Vec::new(),
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--sarif" => match iter.next() {
-                Some(path) => opts.sarif = Some(path.clone()),
-                None => {
-                    eprintln!("netcheck: --sarif needs a file argument");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--jobs" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => opts.jobs = n,
-                _ => {
-                    eprintln!("netcheck: --jobs needs a positive integer");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => opts.cache = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("netcheck: --cache needs a directory argument");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--no-cache" => opts.no_cache = true,
-            "--baseline" => match iter.next() {
-                Some(path) => opts.baseline = Some(path.clone()),
-                None => {
-                    eprintln!("netcheck: --baseline needs a file argument");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--deny-warnings" => opts.deny_warnings = true,
-            "--rules" => {
-                list_rules();
-                return Err(ExitCode::SUCCESS);
-            }
-            "--help" | "-h" => {
-                usage();
-                return Err(ExitCode::SUCCESS);
-            }
-            _ if arg.starts_with('-') => {
-                eprintln!("netcheck: unknown option `{arg}`");
-                usage();
-                return Err(ExitCode::from(2));
-            }
-            _ => opts.files.push(arg.clone()),
-        }
-    }
-    if opts.files.is_empty() {
-        usage();
-        return Err(ExitCode::from(2));
-    }
-    Ok(opts)
 }
 
 /// Loads the baseline file when one was given; exit 2 if unreadable.
@@ -394,15 +338,31 @@ fn run_certify(opts: &Options) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let certify_mode = args.first().map(String::as_str) == Some("certify");
-    if certify_mode {
-        args.remove(0);
+    let mut args = std::env::args().skip(1).peekable();
+    let certify_mode = args.next_if(|a| a == "certify").is_some();
+    let spec: Vec<_> = FLAGS
+        .iter()
+        .copied()
+        .filter(|(name, _)| !(certify_mode && LINT_ONLY.contains(name)))
+        .collect();
+    let flags = Flags::parse("netcheck", USAGE, &spec, args);
+    if flags.has("--rules") {
+        list_rules();
+        return ExitCode::SUCCESS;
     }
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(code) => return code,
+    let opts = Options {
+        json: flags.has("--json"),
+        sarif: flags.get("--sarif"),
+        jobs: flags.positive("--jobs", 1),
+        cache: flags.get("--cache"),
+        no_cache: flags.has("--no-cache"),
+        baseline: flags.get("--baseline"),
+        deny_warnings: flags.has("--deny-warnings"),
+        files: flags.operands().to_vec(),
     };
+    if opts.files.is_empty() {
+        flags.fail("no input files");
+    }
     if certify_mode {
         run_certify(&opts)
     } else {

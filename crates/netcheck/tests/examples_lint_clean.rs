@@ -156,4 +156,30 @@ mod cli {
             assert!(stdout.contains(id), "{stdout}");
         }
     }
+
+    #[test]
+    fn help_goes_to_stdout_and_certify_rejects_lint_only_flags() {
+        let help = Command::new(env!("CARGO_BIN_EXE_netcheck"))
+            .arg("--help")
+            .output()
+            .unwrap();
+        assert!(help.status.success(), "{help:?}");
+        let stdout = String::from_utf8(help.stdout).unwrap();
+        assert!(stdout.starts_with("usage: netcheck"), "{stdout}");
+        for flag in [&["--jobs", "2"][..], &["--cache", "dir"], &["--no-cache"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_netcheck"))
+                .arg("certify")
+                .args(flag)
+                .arg("bundle.toml")
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("unknown argument `{}`", flag[0])),
+                "{stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{flag:?}");
+        }
+    }
 }

@@ -92,6 +92,8 @@
 //!
 //! Exit status: 0 clean; 1 when `--check` fails; 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -99,9 +101,11 @@ use std::process::ExitCode;
 use dst::{Scenario, SweepOutcome, Violation};
 use runtime::{
     render_fleet_trace, render_trace, run_soak, run_wire_soak, FleetConfig, FleetMutation,
-    FleetReport, Mutation, RuntimeConfig, SimConfig, SimReport, SoakConfig, SoakReport, WireClient,
-    WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
+    FleetReport, Mutation, RuntimeConfig, RuntimeError, SimConfig, SimReport, SoakConfig,
+    SoakReport, WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig,
+    WireSoakConfig,
 };
+use tsense_cli::{Flags, Kind, Switch, Value};
 
 const USAGE: &str = "usage: runtime soak [--seconds N] [--seed N] [--sites N] [--faults N] \
                      [--clients N] [--no-chaos] [--restart] [--snapshot-dir P] [--check] [--json]\n\
@@ -140,95 +144,47 @@ struct DstOptions {
     json: bool,
 }
 
-enum Command {
-    Soak(Box<Options>),
-    Dst(DstOptions),
-    Serve(ServeOptions),
-    Client(ClientOptions),
-    WireSoak(Box<WireSoakOptions>),
-}
-
-fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOptions>, String> {
+fn parse_dst_args(args: impl Iterator<Item = String>) -> DstOptions {
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--seeds", Value),
+        ("--seed-base", Value),
+        ("--seed-range", Value),
+        ("--jobs", Value),
+        ("--fleet", Switch),
+        ("--mutation", Value),
+        ("--replay", Value),
+        ("--replay-node", Value),
+        ("--trace-out", Value),
+        ("--check", Switch),
+        ("--json", Switch),
+    ];
+    let f = Flags::parse("runtime", USAGE, FLAGS, args);
     let mut opts = DstOptions {
-        seeds: 200,
-        seed_base: 0,
-        jobs: 1,
-        fleet: false,
-        mutation: None,
-        replay: None,
-        replay_node: None,
-        trace_out: None,
-        check: false,
-        json: false,
+        seeds: f.positive("--seeds", 200),
+        seed_base: f.or("--seed-base", 0),
+        jobs: f.positive("--jobs", 1),
+        fleet: f.has("--fleet"),
+        mutation: f.get("--mutation"),
+        replay: f.get("--replay"),
+        replay_node: f.get("--replay-node"),
+        trace_out: f.get("--trace-out"),
+        check: f.has("--check"),
+        json: f.has("--json"),
     };
-    let (mut window_flag, mut range_flag) = (false, false);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--fleet" => opts.fleet = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds needs a value")?;
-                opts.seeds = v.parse().map_err(|_| format!("bad seed count `{v}`"))?;
-                if opts.seeds == 0 {
-                    return Err("--seeds must be positive".into());
-                }
-                window_flag = true;
-            }
-            "--seed-base" => {
-                let v = it.next().ok_or("--seed-base needs a value")?;
-                opts.seed_base = v.parse().map_err(|_| format!("bad seed base `{v}`"))?;
-                window_flag = true;
-            }
-            "--seed-range" => {
-                let v = it.next().ok_or("--seed-range needs A..B")?;
-                let (a, b) = v
-                    .split_once("..")
-                    .ok_or_else(|| format!("bad seed range `{v}` (want A..B)"))?;
-                let a: u64 = a.parse().map_err(|_| format!("bad range start `{a}`"))?;
-                let b: u64 = b.parse().map_err(|_| format!("bad range end `{b}`"))?;
-                if b <= a {
-                    return Err(format!("empty seed range `{v}`"));
-                }
-                opts.seed_base = a;
-                opts.seeds = b - a;
-                range_flag = true;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad job count `{v}`"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be positive".into());
-                }
-            }
-            "--mutation" => {
-                let v = it.next().ok_or("--mutation needs a value")?;
-                opts.mutation = Some(v.clone());
-            }
-            "--replay" => {
-                let v = it.next().ok_or("--replay needs a seed")?;
-                opts.replay = Some(v.parse().map_err(|_| format!("bad replay seed `{v}`"))?);
-            }
-            "--replay-node" => {
-                let v = it.next().ok_or("--replay-node needs a node id")?;
-                opts.replay_node = Some(v.clone());
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                opts.trace_out = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
+    if let Some(range) = f.get::<String>("--seed-range") {
+        if f.has("--seeds") || f.has("--seed-base") {
+            f.fail("--seed-range cannot be combined with --seeds or --seed-base");
+        }
+        let bounds = range
+            .split_once("..")
+            .and_then(|(a, b)| Some((a.parse::<u64>().ok()?, b.parse::<u64>().ok()?)));
+        match bounds {
+            Some((a, b)) if a < b => (opts.seed_base, opts.seeds) = (a, b - a),
+            _ => f.fail(format!("bad --seed-range `{range}` (want A..B with A < B)")),
         }
     }
-    if window_flag && range_flag {
-        return Err("--seed-range cannot be combined with --seeds or --seed-base".into());
-    }
     if opts.seed_base.checked_add(opts.seeds - 1).is_none() {
-        return Err(format!(
+        f.fail(format!(
             "seed window of {} seed(s) from {} runs past the largest seed {}",
             opts.seeds,
             opts.seed_base,
@@ -236,12 +192,12 @@ fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOpti
         ));
     }
     if opts.replay_node.is_some() && !opts.fleet {
-        return Err("--replay-node requires --fleet".into());
+        f.fail("--replay-node requires --fleet");
     }
     if opts.replay_node.is_some() && opts.replay.is_none() {
-        return Err("--replay-node requires --replay SEED".into());
+        f.fail("--replay-node requires --replay SEED");
     }
-    Ok(Some(opts))
+    opts
 }
 
 struct ServeOptions {
@@ -254,60 +210,26 @@ struct ServeOptions {
     json: bool,
 }
 
-fn parse_serve_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<ServeOptions>, String> {
-    let mut opts = ServeOptions {
-        shards: 3,
-        sites: 6,
-        port: 0,
-        seconds: 10,
-        seed: 42,
-        snapshot_dir: None,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                opts.shards = v.parse().map_err(|_| format!("bad shard count `{v}`"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be positive".into());
-                }
-            }
-            "--sites" => {
-                let v = it.next().ok_or("--sites needs a value")?;
-                opts.sites = v.parse().map_err(|_| format!("bad site count `{v}`"))?;
-                if opts.sites == 0 {
-                    return Err("--sites must be positive".into());
-                }
-            }
-            "--port" => {
-                let v = it.next().ok_or("--port needs a value")?;
-                opts.port = v.parse().map_err(|_| format!("bad port `{v}`"))?;
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                opts.seconds = v.parse().map_err(|_| format!("bad seconds `{v}`"))?;
-                if opts.seconds == 0 {
-                    return Err("--seconds must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a value")?;
-                opts.snapshot_dir = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
-        }
+fn parse_serve_args(args: impl Iterator<Item = String>) -> ServeOptions {
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--shards", Value),
+        ("--sites", Value),
+        ("--port", Value),
+        ("--seconds", Value),
+        ("--seed", Value),
+        ("--snapshot-dir", Value),
+        ("--json", Switch),
+    ];
+    let f = Flags::parse("runtime", USAGE, FLAGS, args);
+    ServeOptions {
+        shards: f.positive("--shards", 3),
+        sites: f.positive("--sites", 6),
+        port: f.or("--port", 0),
+        seconds: f.positive("--seconds", 10),
+        seed: f.or("--seed", 42),
+        snapshot_dir: f.get("--snapshot-dir"),
+        json: f.has("--json"),
     }
-    Ok(Some(opts))
 }
 
 struct ClientOptions {
@@ -318,47 +240,26 @@ struct ClientOptions {
     json: bool,
 }
 
-fn parse_client_args(
-    mut it: std::slice::Iter<'_, String>,
-) -> Result<Option<ClientOptions>, String> {
-    let mut opts = ClientOptions {
-        addrs: Vec::new(),
-        key: 0,
-        count: 1,
-        map: false,
-        json: false,
+fn parse_client_args(args: impl Iterator<Item = String>) -> ClientOptions {
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--addr", Value),
+        ("--key", Value),
+        ("--count", Value),
+        ("--map", Switch),
+        ("--json", Switch),
+    ];
+    let f = Flags::parse("runtime", USAGE, FLAGS, args);
+    let opts = ClientOptions {
+        addrs: f.all("--addr"),
+        key: f.or("--key", 0),
+        count: f.positive("--count", 1),
+        map: f.has("--map"),
+        json: f.has("--json"),
     };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--map" => opts.map = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs HOST:PORT")?;
-                opts.addrs
-                    .push(v.parse().map_err(|_| format!("bad address `{v}`"))?);
-            }
-            "--key" => {
-                let v = it.next().ok_or("--key needs a value")?;
-                opts.key = v.parse().map_err(|_| format!("bad key `{v}`"))?;
-            }
-            "--count" => {
-                let v = it.next().ok_or("--count needs a value")?;
-                opts.count = v.parse().map_err(|_| format!("bad count `{v}`"))?;
-                if opts.count == 0 {
-                    return Err("--count must be positive".into());
-                }
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
-        }
-    }
     if opts.addrs.is_empty() {
-        return Err("client needs at least one --addr HOST:PORT".into());
+        f.fail("client needs at least one --addr HOST:PORT");
     }
-    Ok(Some(opts))
+    opts
 }
 
 struct WireSoakOptions {
@@ -377,173 +278,70 @@ struct WireSoakOptions {
     json: bool,
 }
 
-fn parse_wire_soak_args(
-    mut it: std::slice::Iter<'_, String>,
-) -> Result<Option<WireSoakOptions>, String> {
-    let mut opts = WireSoakOptions {
-        seconds: 5,
-        rate: 150.0,
-        clients: 4,
-        seed: 42,
-        chaos: false,
-        crash_at: None,
-        decommission_at: None,
-        kill_primary_at: None,
-        snapshot_dir: None,
-        p99_ms: None,
-        hist_out: None,
-        check: false,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--chaos" => opts.chaos = true,
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                opts.seconds = v.parse().map_err(|_| format!("bad seconds `{v}`"))?;
-                if opts.seconds == 0 {
-                    return Err("--seconds must be positive".into());
-                }
-            }
-            "--rate" => {
-                let v = it.next().ok_or("--rate needs a value")?;
-                opts.rate = v.parse().map_err(|_| format!("bad rate `{v}`"))?;
-                if opts.rate <= 0.0 {
-                    return Err("--rate must be positive".into());
-                }
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                opts.clients = v.parse().map_err(|_| format!("bad client count `{v}`"))?;
-                if opts.clients == 0 {
-                    return Err("--clients must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--crash-at" => {
-                let v = it.next().ok_or("--crash-at needs milliseconds")?;
-                opts.crash_at = Some(v.parse().map_err(|_| format!("bad crash time `{v}`"))?);
-            }
-            "--decommission-at" => {
-                let v = it.next().ok_or("--decommission-at needs milliseconds")?;
-                opts.decommission_at = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad decommission time `{v}`"))?,
-                );
-            }
-            "--kill-primary-at" => {
-                let v = it.next().ok_or("--kill-primary-at needs milliseconds")?;
-                opts.kill_primary_at = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad primary-kill time `{v}`"))?,
-                );
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a value")?;
-                opts.snapshot_dir = Some(PathBuf::from(v));
-            }
-            "--p99" => {
-                let v = it.next().ok_or("--p99 needs milliseconds")?;
-                opts.p99_ms = Some(v.parse().map_err(|_| format!("bad p99 bound `{v}`"))?);
-            }
-            "--hist-out" => {
-                let v = it.next().ok_or("--hist-out needs a path")?;
-                opts.hist_out = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
-        }
+fn parse_wire_soak_args(args: impl Iterator<Item = String>) -> WireSoakOptions {
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--seconds", Value),
+        ("--rate", Value),
+        ("--clients", Value),
+        ("--seed", Value),
+        ("--chaos", Switch),
+        ("--crash-at", Value),
+        ("--decommission-at", Value),
+        ("--kill-primary-at", Value),
+        ("--snapshot-dir", Value),
+        ("--p99", Value),
+        ("--hist-out", Value),
+        ("--check", Switch),
+        ("--json", Switch),
+    ];
+    let f = Flags::parse("runtime", USAGE, FLAGS, args);
+    WireSoakOptions {
+        seconds: f.positive("--seconds", 5),
+        rate: f.positive("--rate", 150.0),
+        clients: f.positive("--clients", 4),
+        seed: f.or("--seed", 42),
+        chaos: f.has("--chaos"),
+        crash_at: f.get("--crash-at"),
+        decommission_at: f.get("--decommission-at"),
+        kill_primary_at: f.get("--kill-primary-at"),
+        snapshot_dir: f.get("--snapshot-dir"),
+        p99_ms: f.get("--p99"),
+        hist_out: f.get("--hist-out"),
+        check: f.has("--check"),
+        json: f.has("--json"),
     }
-    Ok(Some(opts))
 }
 
-fn parse_args(args: &[String]) -> Result<Option<Command>, String> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("soak") => {}
-        Some("serve") => return Ok(parse_serve_args(it)?.map(Command::Serve)),
-        Some("client") => return Ok(parse_client_args(it)?.map(Command::Client)),
-        Some("wire-soak") => {
-            return Ok(parse_wire_soak_args(it)?.map(|o| Command::WireSoak(Box::new(o))))
-        }
-        Some("dst") => return Ok(parse_dst_args(it)?.map(Command::Dst)),
-        Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            return Ok(None);
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown command `{other}` (try `soak`, `serve`, `client`, `wire-soak`, or `dst`)"
-            ))
-        }
-        None => {
-            return Err(
-                "missing command (try `soak`, `serve`, `client`, `wire-soak`, or `dst`)".into(),
-            )
-        }
+fn parse_soak_args(args: impl Iterator<Item = String>) -> Options {
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--seconds", Value),
+        ("--seed", Value),
+        ("--sites", Value),
+        ("--faults", Value),
+        ("--clients", Value),
+        ("--no-chaos", Switch),
+        ("--restart", Switch),
+        ("--snapshot-dir", Value),
+        ("--check", Switch),
+        ("--json", Switch),
+    ];
+    let f = Flags::parse("runtime", USAGE, FLAGS, args);
+    let soak = SoakConfig::default();
+    Options {
+        soak: SoakConfig {
+            seed: f.or("--seed", soak.seed),
+            sites: f.positive("--sites", soak.sites),
+            clients: f.positive("--clients", soak.clients),
+            ..soak
+        },
+        seconds: f.positive("--seconds", 10),
+        chaos: !f.has("--no-chaos"),
+        restart: f.has("--restart"),
+        faults: f.get("--faults"),
+        snapshot_dir: f.get("--snapshot-dir"),
+        check: f.has("--check"),
+        json: f.has("--json"),
     }
-    let mut opts = Options {
-        soak: SoakConfig::default(),
-        seconds: 10,
-        chaos: true,
-        restart: false,
-        faults: None,
-        snapshot_dir: None,
-        check: false,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--no-chaos" => opts.chaos = false,
-            "--restart" => opts.restart = true,
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                opts.seconds = v.parse().map_err(|_| format!("bad seconds `{v}`"))?;
-                if opts.seconds == 0 {
-                    return Err("--seconds must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.soak.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--sites" => {
-                let v = it.next().ok_or("--sites needs a value")?;
-                opts.soak.sites = v.parse().map_err(|_| format!("bad site count `{v}`"))?;
-                if opts.soak.sites == 0 {
-                    return Err("--sites must be positive".into());
-                }
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a value")?;
-                opts.faults = Some(v.parse().map_err(|_| format!("bad fault count `{v}`"))?);
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                opts.soak.clients = v.parse().map_err(|_| format!("bad client count `{v}`"))?;
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a value")?;
-                opts.snapshot_dir = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
-        }
-    }
-    Ok(Some(Command::Soak(Box::new(opts))))
 }
 
 fn render_json(report: &SoakReport, restart: bool) -> String {
@@ -772,12 +570,15 @@ fn run_dst_cmd<S: DstCli>(opts: DstOptions) -> ExitCode {
             Some(k) => *k,
             None => {
                 let names: Vec<String> = S::MUTATIONS.iter().map(|k| k.to_string()).collect();
-                eprintln!(
-                    "runtime: bad {} mutation `{m}` ({})",
-                    S::LABEL,
-                    names.join(" | ")
+                tsense_cli::fail(
+                    "runtime",
+                    USAGE,
+                    format!(
+                        "--mutation `{m}` is not a {} mutation ({})",
+                        S::LABEL,
+                        names.join(" | ")
+                    ),
                 );
-                return ExitCode::from(2);
             }
         },
     };
@@ -826,30 +627,22 @@ fn run_dst_cmd<S: DstCli>(opts: DstOptions) -> ExitCode {
     if let (Some(path), Some(first)) = (&opts.trace_out, out.violations.first()) {
         write_failure_artifact(path, &base.reseed(S::seed(first)), first);
     }
-    if opts.check {
-        if let Some(first) = out.violations.first() {
-            if !opts.json {
-                eprintln!(
-                    "runtime: {} check FAILED ({} violating seed(s); replay with \
-                     `runtime dst {}--replay {}{}`)",
-                    S::LABEL,
-                    out.violations.len(),
-                    S::FLAGS,
-                    S::seed(first),
-                    if mutation == S::Mutation::default() {
-                        String::new()
-                    } else {
-                        format!(" --mutation {mutation}")
-                    }
-                );
+    let failure = out.violations.first().map(|first| {
+        format!(
+            "runtime: {} check FAILED ({} violating seed(s); replay with \
+             `runtime dst {}--replay {}{}`)",
+            S::LABEL,
+            out.violations.len(),
+            S::FLAGS,
+            S::seed(first),
+            if mutation == S::Mutation::default() {
+                String::new()
+            } else {
+                format!(" --mutation {mutation}")
             }
-            return ExitCode::from(1);
-        }
-        if !opts.json {
-            println!("check PASSED");
-        }
-    }
-    ExitCode::SUCCESS
+        )
+    });
+    tsense_cli::verdict(opts.check, opts.json, failure)
 }
 
 fn run_serve_cmd(opts: ServeOptions) -> ExitCode {
@@ -1035,6 +828,9 @@ fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
     cfg.server.snapshot_root = Some(snapshot_root);
     let report = match run_wire_soak(&cfg) {
         Ok(r) => r,
+        Err(e @ RuntimeError::BadLoad { .. }) => {
+            tsense_cli::fail("runtime", USAGE, format!("--rate x --seconds: {e}"))
+        }
         Err(e) => {
             eprintln!("runtime: wire soak failed to run: {e}");
             return ExitCode::from(1);
@@ -1086,44 +882,21 @@ fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
     } else {
         print!("{}", report.render());
     }
-    if opts.check {
-        let p99_ok = opts.p99_ms.is_none_or(|bound| p99 <= bound);
-        if !report.invariants_ok() || !p99_ok {
-            if !opts.json {
-                eprintln!(
-                    "runtime: wire-soak check FAILED ({} violation(s), p99 <{} ms{})",
-                    report.violations.len(),
-                    p99,
-                    opts.p99_ms
-                        .map_or(String::new(), |b| format!(" vs bound {b} ms")),
-                );
-            }
-            return ExitCode::from(1);
-        }
-        if !opts.json {
-            println!("check PASSED");
-        }
-    }
-    ExitCode::SUCCESS
+    let p99_ok = opts.p99_ms.is_none_or(|bound| p99 <= bound);
+    let failure = (!report.invariants_ok() || !p99_ok).then(|| {
+        format!(
+            "runtime: wire-soak check FAILED ({} request(s), {} violation(s), p99 <{} ms{})",
+            report.requests,
+            report.violations.len(),
+            p99,
+            opts.p99_ms
+                .map_or(String::new(), |b| format!(" vs bound {b} ms")),
+        )
+    });
+    tsense_cli::verdict(opts.check, opts.json, failure)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(Command::Dst(opts))) if opts.fleet => return run_dst_cmd::<FleetConfig>(opts),
-        Ok(Some(Command::Dst(opts))) => return run_dst_cmd::<SimConfig>(opts),
-        Ok(Some(Command::Serve(opts))) => return run_serve_cmd(opts),
-        Ok(Some(Command::Client(opts))) => return run_client_cmd(opts),
-        Ok(Some(Command::WireSoak(opts))) => return run_wire_soak_cmd(*opts),
-        Ok(Some(Command::Soak(opts))) => *opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("runtime: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
+fn run_soak_cmd(opts: Options) -> ExitCode {
     let total_ms = opts.seconds * 1000;
     let mut cfg = opts.soak;
     cfg.duration_ms = (total_ms * 4) / 5;
@@ -1154,24 +927,42 @@ fn main() -> ExitCode {
     } else {
         print!("{}", report.render_text());
     }
-    if opts.check {
-        if !report.liveness_ok(opts.restart) {
-            if !opts.json {
-                eprintln!(
-                    "runtime: check FAILED (late {} stale {} breakers_closed {} restarts {} \
-                     recovered {:?})",
-                    report.late_replies,
-                    report.silent_stale,
-                    report.breakers_all_closed,
-                    report.restarts,
-                    report.recovered_seq,
-                );
-            }
-            return ExitCode::from(1);
+    let failure = (!report.liveness_ok(opts.restart)).then(|| {
+        format!(
+            "runtime: check FAILED (late {} stale {} breakers_closed {} restarts {} \
+             recovered {:?})",
+            report.late_replies,
+            report.silent_stale,
+            report.breakers_all_closed,
+            report.restarts,
+            report.recovered_seq,
+        )
+    });
+    tsense_cli::verdict(opts.check, opts.json, failure)
+}
+
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    match args.next().as_deref() {
+        Some("soak") => run_soak_cmd(parse_soak_args(args)),
+        Some("serve") => run_serve_cmd(parse_serve_args(args)),
+        Some("client") => run_client_cmd(parse_client_args(args)),
+        Some("wire-soak") => run_wire_soak_cmd(parse_wire_soak_args(args)),
+        Some("dst") => match parse_dst_args(args) {
+            opts if opts.fleet => run_dst_cmd::<FleetConfig>(opts),
+            opts => run_dst_cmd::<SimConfig>(opts),
+        },
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
         }
-        if !opts.json {
-            println!("check PASSED");
-        }
+        cmd => tsense_cli::fail(
+            "runtime",
+            USAGE,
+            format!(
+                "{} command (try `soak`, `serve`, `client`, `wire-soak`, or `dst`)",
+                cmd.map_or("missing".into(), |c| format!("unknown `{c}`"))
+            ),
+        ),
     }
-    ExitCode::SUCCESS
 }

@@ -108,6 +108,15 @@ pub enum RuntimeError {
         /// Human-readable statement of the inconsistency.
         detail: String,
     },
+    /// A soak's offered load cannot be scheduled: the arrival rate is
+    /// not a positive finite number, or rate × duration expects more
+    /// arrivals than the precomputed schedule may hold.
+    BadLoad {
+        /// The requested mean arrival rate, requests per second.
+        rate_hz: f64,
+        /// The requested load duration, milliseconds.
+        duration_ms: u64,
+    },
     /// The runtime is shutting down (or has shut down) and no longer
     /// accepts requests.
     Shutdown,
@@ -182,6 +191,23 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::BadReplication { detail } => {
                 write!(f, "bad replication config: {detail}")
+            }
+            RuntimeError::BadLoad {
+                rate_hz,
+                duration_ms,
+            } => {
+                if rate_hz.is_finite() && *rate_hz > 0.0 {
+                    write!(
+                        f,
+                        "{rate_hz:e} req/s over {duration_ms} ms expects more than {} arrivals",
+                        crate::soak_wire::MAX_ARRIVALS
+                    )
+                } else {
+                    write!(
+                        f,
+                        "arrival rate {rate_hz} req/s is not a positive finite number"
+                    )
+                }
             }
             RuntimeError::Shutdown => write!(f, "runtime is shut down"),
             RuntimeError::Sensor(e) => write!(f, "sensor failure: {e}"),

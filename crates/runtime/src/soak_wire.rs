@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use wire::{ChaosProfile, ChaosProxy, WireOutcome};
 
 use crate::client::{ClientError, WireClient, WireClientConfig};
-use crate::error::Result;
+use crate::error::{Result, RuntimeError};
 use crate::retry::RetryPolicy;
 use crate::serve::{WireServer, WireServerConfig, WireServerStats};
 
@@ -64,6 +64,28 @@ pub struct WireSoakConfig {
     /// Permanently kill `(shard, at_ms)`'s primary mid-run, forcing
     /// an epoch-bumping promotion of its best backup.
     pub kill_primary: Option<(usize, u64)>,
+}
+
+/// Most arrivals one wire soak may expect (`rate_hz × duration`): the
+/// schedule is precomputed, so this bounds its memory.
+pub(crate) const MAX_ARRIVALS: u64 = 10_000_000;
+
+impl WireSoakConfig {
+    /// Checks the offered load before anything is allocated for it:
+    /// [`RuntimeError::BadLoad`] when `rate_hz` is not a positive finite
+    /// number, or when `rate_hz × duration_ms` expects more than
+    /// [`MAX_ARRIVALS`] arrivals.
+    fn check_load(&self) -> Result<()> {
+        let expected = self.rate_hz * self.duration_ms as f64 / 1_000.0;
+        if self.rate_hz.is_finite() && self.rate_hz > 0.0 && expected <= MAX_ARRIVALS as f64 {
+            Ok(())
+        } else {
+            Err(RuntimeError::BadLoad {
+                rate_hz: self.rate_hz,
+                duration_ms: self.duration_ms,
+            })
+        }
+    }
 }
 
 impl Default for WireSoakConfig {
@@ -233,9 +255,10 @@ pub struct WireSoakReport {
 }
 
 impl WireSoakReport {
-    /// `true` when every graded fleet invariant held.
+    /// `true` when requests were scheduled and every graded fleet
+    /// invariant held: a soak that sent nothing proves nothing.
     pub fn invariants_ok(&self) -> bool {
-        self.violations.is_empty()
+        self.requests > 0 && self.violations.is_empty()
     }
 
     /// A plain-text summary for CLI and CI logs.
@@ -285,10 +308,12 @@ struct Sample {
 ///
 /// # Errors
 ///
-/// Server start errors ([`crate::RuntimeError::FrameBudget`] and the
+/// An unschedulable load ([`crate::RuntimeError::BadLoad`]) and server
+/// start errors ([`crate::RuntimeError::FrameBudget`] and the
 /// per-shard preflight); the load phase itself never fails — bad
 /// outcomes become violations in the report.
 pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
+    cfg.check_load()?;
     let server = WireServer::start(cfg.server.clone(), None)?;
     let proxy = match &cfg.chaos {
         Some(profile) => Some(
@@ -310,7 +335,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
     let mut req_id = cfg.seed << 20;
     while (t_ms as u64) < cfg.duration_ms {
         let u: f64 = rng.random();
-        let gap_ms = -(1.0 - u).ln() / cfg.rate_hz.max(1e-9) * 1_000.0;
+        let gap_ms = -(1.0 - u).ln() / cfg.rate_hz * 1_000.0;
         t_ms += gap_ms;
         if (t_ms as u64) >= cfg.duration_ms {
             break;
@@ -531,5 +556,39 @@ mod tests {
         assert_eq!(other.count(), 10);
         let r = other.render();
         assert!(r.contains("samples 10"), "{r}");
+    }
+
+    #[test]
+    fn an_unschedulable_load_is_refused_before_anything_starts() {
+        for rate_hz in [f64::NAN, f64::INFINITY, 0.0, -150.0, 1e300, 2e7] {
+            let cfg = WireSoakConfig {
+                rate_hz,
+                duration_ms: 1_000,
+                ..WireSoakConfig::default()
+            };
+            let err = run_wire_soak(&cfg).expect_err("load refused");
+            assert!(
+                matches!(err, RuntimeError::BadLoad { .. }),
+                "{rate_hz}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_soak_that_scheduled_nothing_fails_its_invariants() {
+        let report = |requests| WireSoakReport {
+            requests,
+            completed: requests,
+            failed: 0,
+            exhausted: 0,
+            histogram: LatencyHistogram::new(),
+            throughput_rps: 0.0,
+            violations: Vec::new(),
+            server: WireServerStats::default(),
+            chaos_faults: None,
+            chaos_summary: None,
+        };
+        assert!(!report(0).invariants_ok());
+        assert!(report(1).invariants_ok());
     }
 }

@@ -9,7 +9,8 @@
 //! --ratio R      Wp/Wn sizing ratio (default: 2.0)
 //! --validate     cross-validate STA against the transient simulator
 //! --check        run the NC05xx timing rules on each ring netlist
-//! --paths N      how many critical paths to print (default: 3)
+//! --paths N      critical paths to print (default: 3; accepted, but
+//!                no report prints paths yet)
 //! --json         machine-readable output
 //! --rules        list the timing rule ids and exit
 //! --help         this text
@@ -18,6 +19,8 @@
 //! Exit status: 0 clean; 1 when any timing rule reports an error or any
 //! cross-validation point exceeds tolerance; 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use sta::report;
@@ -25,6 +28,7 @@ use sta::{
     check_timing, cross_validate, parse_mix, shipped_rings, AnalyticalModel, RingSpec, StaError,
     TimingCheckOptions, CROSS_VALIDATION_TOLERANCE,
 };
+use tsense_cli::{Flags, Kind, Operands, Switch, Value};
 
 const USAGE: &str = "usage: sta [--examples] [--temps LIST] [--ratio R] [--validate] \
                      [--check] [--paths N] [--json] [--rules] [MIX...]";
@@ -35,75 +39,12 @@ struct Options {
     ratio: f64,
     validate: bool,
     check: bool,
+    /// Accepted and range-checked, but no report prints critical paths
+    /// yet.
+    #[allow(dead_code)]
     paths: usize,
     json: bool,
     mixes: Vec<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
-    let mut opts = Options {
-        examples: false,
-        temps_c: vec![-50.0, 27.0, 150.0],
-        ratio: 2.0,
-        validate: false,
-        check: false,
-        paths: 3,
-        json: false,
-        mixes: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--examples" => opts.examples = true,
-            "--validate" => opts.validate = true,
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--rules" => {
-                println!(
-                    "{}  error    STA period contradicts the declared clock period",
-                    sta::NC0503
-                );
-                println!(
-                    "{}  warning  excessive fan-out delay degradation",
-                    sta::NC0501
-                );
-                println!("{}  warning  unconstrained timing endpoint", sta::NC0502);
-                return Ok(None);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--temps" => {
-                let list = it.next().ok_or("--temps needs a value")?;
-                opts.temps_c = list
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad temperature `{t}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if opts.temps_c.is_empty() {
-                    return Err("--temps needs at least one value".to_string());
-                }
-            }
-            "--ratio" => {
-                let r = it.next().ok_or("--ratio needs a value")?;
-                opts.ratio = r.parse().map_err(|_| format!("bad ratio `{r}`"))?;
-            }
-            "--paths" => {
-                let n = it.next().ok_or("--paths needs a value")?;
-                opts.paths = n.parse().map_err(|_| format!("bad path count `{n}`"))?;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            mix => opts.mixes.push(mix.to_string()),
-        }
-    }
-    if !opts.examples && opts.mixes.is_empty() {
-        return Err("give a cell mix or --examples".to_string());
-    }
-    Ok(Some(opts))
 }
 
 fn run_ring(
@@ -182,16 +123,43 @@ fn run_ring(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(opts)) => opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("sta: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    const FLAGS: &[(&str, Kind)] = &[
+        ("--examples", Switch),
+        ("--temps", Value),
+        ("--ratio", Value),
+        ("--validate", Switch),
+        ("--check", Switch),
+        ("--paths", Value),
+        ("--json", Switch),
+        ("--rules", Switch),
+        ("MIX", Operands),
+    ];
+    let f = Flags::parse("sta", USAGE, FLAGS, std::env::args().skip(1));
+    if f.has("--rules") {
+        println!(
+            "{}  error    STA period contradicts the declared clock period",
+            sta::NC0503
+        );
+        println!(
+            "{}  warning  excessive fan-out delay degradation",
+            sta::NC0501
+        );
+        println!("{}  warning  unconstrained timing endpoint", sta::NC0502);
+        return ExitCode::SUCCESS;
+    }
+    let opts = Options {
+        examples: f.has("--examples"),
+        temps_c: f.finite_list("--temps", vec![-50.0, 27.0, 150.0]),
+        ratio: f.positive("--ratio", 2.0),
+        validate: f.has("--validate"),
+        check: f.has("--check"),
+        paths: f.or("--paths", 3),
+        json: f.has("--json"),
+        mixes: f.operands().to_vec(),
     };
+    if !opts.examples && opts.mixes.is_empty() {
+        f.fail("give a cell mix or --examples");
+    }
 
     let mut specs: Vec<RingSpec> = Vec::new();
     if opts.examples {
@@ -203,10 +171,7 @@ fn main() -> ExitCode {
                 name: mix.clone(),
                 kinds,
             }),
-            Err(e) => {
-                eprintln!("sta: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => f.fail(e),
         }
     }
 
