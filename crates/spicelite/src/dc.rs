@@ -10,7 +10,7 @@
 
 use crate::circuit::{Circuit, NodeId};
 use crate::error::{Result, SimError};
-use crate::linalg::vec_norm_inf;
+use crate::linalg::{vec_norm_inf, LuCounts, PivotedLu};
 use crate::mna::{node_voltage, CapCompanion, MnaSystem, StampProgram};
 
 /// Tolerances and iteration limits of the Newton solver.
@@ -86,29 +86,62 @@ impl DcSolution {
 }
 
 /// The Newton–Raphson solver of one analysis: the compiled circuit plus
-/// the system and iterate storage that every solve reuses (shared by DC
-/// and each transient step).
+/// the system, factorization and iterate storage that every solve reuses
+/// (shared by DC and each transient step).
+///
+/// Internally everything is in the program's fill-reducing row order;
+/// [`Newton::solve`] takes and returns natural-order vectors.
 pub(crate) struct Newton<'c> {
     program: StampProgram<'c>,
+    /// The stamps that do not depend on the iterate: the conductances as
+    /// last stamped and the sources of the current solve.
+    base: MnaSystem,
+    /// The gmin and, in a transient, the capacitor companion conductances
+    /// that `base.a` was stamped with (gmin NaN before the first solve).
+    base_gmin: f64,
+    base_geq: Option<Vec<f64>>,
+    /// `base` plus the MOSFET stamps of the current iteration.
     sys: MnaSystem,
+    lu: PivotedLu,
+    /// The iterate, in program row order.
     x: Vec<f64>,
+    /// The converged iterate, in natural order.
+    out: Vec<f64>,
+    iterations: u64,
 }
 
 impl<'c> Newton<'c> {
     pub(crate) fn new(circuit: &'c Circuit) -> Self {
         let program = StampProgram::compile(circuit);
         let sys = program.system();
+        let lu = PivotedLu::new(sys.a.n_rows(), program.pattern());
+        let n = circuit.unknown_count();
         Newton {
-            program,
+            base: sys.clone(),
+            base_gmin: f64::NAN,
+            base_geq: None,
             sys,
-            x: Vec::with_capacity(circuit.unknown_count()),
+            program,
+            lu,
+            x: vec![0.0; n],
+            out: vec![0.0; n],
+            iterations: 0,
         }
+    }
+
+    /// Newton iterations run so far, and the factorization counters.
+    pub(crate) fn counts(&self) -> (u64, LuCounts) {
+        (self.iterations, self.lu.counts())
     }
 
     /// One full Newton solve from the guess `x0`.
     ///
     /// `time`/`cap_companions` select the analysis context; see
     /// [`crate::mna::assemble`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0` is not one value per unknown of the circuit.
     pub(crate) fn solve(
         &mut self,
         x0: &[f64],
@@ -123,23 +156,34 @@ impl<'c> Newton<'c> {
         } else {
             "DC"
         };
-        self.x.clear();
-        self.x.extend_from_slice(x0);
+        assert_eq!(x0.len(), self.x.len(), "guess does not match the circuit");
         if self.x.is_empty() {
-            return Ok(&self.x);
+            return Ok(&self.out);
         }
+        let rows = self.program.rows();
+        for (&v, &r) in x0.iter().zip(rows) {
+            self.x[r] = v;
+        }
+        // A fixed-step transient keeps its conductances from step to step.
+        let companions =
+            time.map(|_| cap_companions.expect("transient assembly requires capacitor companions"));
+        if !self.base_conductances_match(gmin, companions) {
+            self.program
+                .stamp_conductances(&mut self.base, time.is_some(), companions, gmin);
+            self.base_gmin = gmin;
+            self.base_geq = companions.map(|c| c.iter().map(|c| c.geq).collect());
+        }
+        self.program
+            .stamp_sources(&mut self.base, time, cap_companions, source_scale);
         for iter in 0..opts.max_iterations {
-            self.program.assemble_into(
-                &mut self.sys,
-                &self.x,
-                time,
-                cap_companions,
-                gmin,
-                source_scale,
-            );
+            self.iterations += 1;
+            let MnaSystem { a, z, .. } = &mut self.sys;
+            a.copy_from(&self.base.a);
+            z.copy_from_slice(&self.base.z);
+            self.program.stamp_nonlinear(&mut self.sys, &self.x);
             // The right-hand side becomes the new iterate.
             let MnaSystem { a, z, .. } = &mut self.sys;
-            a.solve_in_place(z)?;
+            self.lu.solve(a, z)?;
             // Damped update.
             let mut max_delta = 0.0_f64;
             for (xi, xn) in self.x.iter_mut().zip(&self.sys.z) {
@@ -161,13 +205,29 @@ impl<'c> Newton<'c> {
                 *xi += delta;
             }
             if max_delta < opts.vtol + opts.reltol * vec_norm_inf(&self.x) {
-                return Ok(&self.x);
+                for (o, &r) in self.out.iter_mut().zip(rows) {
+                    *o = self.x[r];
+                }
+                return Ok(&self.out);
             }
         }
         Err(SimError::NoConvergence {
             analysis,
             iterations: opts.max_iterations,
         })
+    }
+
+    /// `true` when `base.a` already holds the conductances for `gmin`
+    /// and these transient `companions` (`None` in DC).
+    fn base_conductances_match(&self, gmin: f64, companions: Option<&[CapCompanion]>) -> bool {
+        self.base_gmin == gmin
+            && match (companions, &self.base_geq) {
+                (None, None) => true,
+                (Some(c), Some(geq)) => {
+                    c.len() == geq.len() && c.iter().zip(geq).all(|(c, &g)| c.geq == g)
+                }
+                _ => false,
+            }
     }
 
     /// The DC operating point from the guess `x0`: plain Newton, then

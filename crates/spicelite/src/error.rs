@@ -21,7 +21,8 @@ pub enum SimError {
     /// The linear solver met a (numerically) singular matrix. Usually a
     /// floating node or an inconsistent source loop.
     SingularMatrix {
-        /// Row index at which elimination failed.
+        /// Elimination step at which no usable pivot was found (in the
+        /// solver's fill-reducing row order for circuit analyses).
         pivot_row: usize,
     },
     /// Newton–Raphson failed to converge within the iteration budget,

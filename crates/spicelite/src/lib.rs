@@ -5,7 +5,8 @@
 //! cells of a few dozen devices. It implements the classic SPICE
 //! architecture:
 //!
-//! * **Modified nodal analysis** with dense LU ([`linalg`], [`mna`]);
+//! * **Modified nodal analysis** with a fill-reducing, pivot-reusing LU
+//!   ([`linalg`], [`mna`]);
 //! * **Newton–Raphson** DC with gmin and source stepping ([`dc`]);
 //! * **Transient** analysis with backward-Euler/trapezoidal companions
 //!   and adaptive step control ([`transient`]);
@@ -78,5 +79,5 @@ pub use circuit::{Circuit, NodeId};
 pub use dc::{dc_sweep, solve_dc, DcSolution, SolverOptions};
 pub use devices::{MosModel, MosPolarity, Stimulus};
 pub use error::{Result, SimError};
-pub use transient::{run_transient, Integrator, TranOptions};
+pub use transient::{run_transient, Integrator, TranOptions, TranStats};
 pub use waveform::Waveform;

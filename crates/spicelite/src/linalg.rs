@@ -1,11 +1,33 @@
-//! Dense linear algebra for modified nodal analysis.
+//! Linear algebra for modified nodal analysis.
 //!
 //! Circuit matrices at this scale (a ring oscillator is a few dozen
-//! unknowns) are small and only mildly sparse, so a dense LU with partial
-//! pivoting is both simple and fast. The factorization is done in place:
-//! [`Matrix::solve_in_place`] overwrites the matrix with its factors, and
-//! the Newton loop clears and re-stamps the same storage before the next
-//! iteration.
+//! unknowns) are small, so they are stored dense: stamping is a plain
+//! indexed add. [`Matrix::solve_in_place`] is the dense LU with partial
+//! pivoting; it overwrites the matrix with its factors.
+//!
+//! The Newton loop solves thousands of matrices that share one
+//! structural pattern, so it factors them the way SPICE-class solvers
+//! do (Sparse 1.3 `spOrderAndFactor`/`spFactor`, KLU analyse/refactor):
+//!
+//! * **Ordering.** [`min_degree_order`] picks a greedy minimum-degree
+//!   elimination order on the symmetrized pattern; the circuit compiler
+//!   ([`crate::mna`]) lays out its rows and columns in that order, so the
+//!   supply hub, adjacent to every pull-up, is eliminated after the
+//!   low-degree nodes instead of filling the matrix first.
+//! * **Analysis.** The first matrix is factored by
+//!   [`Matrix::solve_in_place`] itself, which records the row it chose at
+//!   each pivot. The L/U fill pattern of that row sequence is then
+//!   derived symbolically, and every pivot, multiplier and update becomes
+//!   a precomputed slot in a compact value array.
+//! * **Refactorization.** Each later matrix is gathered into the compact
+//!   array and eliminated along those lists only. A reused pivot must
+//!   still satisfy `|p| ≥ 10⁻³·max|column|` (and be a number above
+//!   10⁻³⁰⁰); otherwise the matrix is re-analysed, which either finds new
+//!   pivots or reports [`SimError::SingularMatrix`].
+//!
+//! With the same pivot rows, the refactorization performs exactly the
+//! floating-point operations of the dense LU on the entries that can be
+//! nonzero, in the same order, so the two agree bit for bit.
 
 use crate::error::{Result, SimError};
 
@@ -112,6 +134,13 @@ impl Matrix {
     ///
     /// Panics if the matrix is not square or `b.len() != n`.
     pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<()> {
+        self.lu_solve(b, None)
+    }
+
+    /// [`Matrix::solve_in_place`], optionally recording in `rows` the
+    /// original row chosen as pivot `k` (`rows` must start as the
+    /// identity permutation).
+    fn lu_solve(&mut self, b: &mut [f64], mut rows: Option<&mut [usize]>) -> Result<()> {
         assert_eq!(self.n_rows, self.n_cols, "LU needs a square matrix");
         assert_eq!(b.len(), self.n_rows, "rhs dimension mismatch");
         let n = self.n_rows;
@@ -129,13 +158,16 @@ impl Matrix {
                 }
             }
             // The negated form also rejects a NaN pivot.
-            if !(pivot_val >= 1e-300) {
+            if !(pivot_val >= TINY_PIVOT) {
                 return Err(SimError::SingularMatrix { pivot_row: k });
             }
             if pivot_row != k {
                 let (upper, lower) = a.split_at_mut(pivot_row * n);
                 upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 b.swap(k, pivot_row);
+                if let Some(rows) = rows.as_deref_mut() {
+                    rows.swap(k, pivot_row);
+                }
             }
             // Eliminate below.
             let (upper, lower) = a.split_at_mut((k + 1) * n);
@@ -164,6 +196,20 @@ impl Matrix {
             b[k] = s / row[k];
         }
         Ok(())
+    }
+
+    /// Overwrites `self` with the entries of `other` (same shape) without
+    /// reallocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        assert!(
+            self.n_rows == other.n_rows && self.n_cols == other.n_cols,
+            "dimension mismatch"
+        );
+        self.data.copy_from_slice(&other.data);
     }
 
     /// Infinity norm of the matrix (max absolute row sum).
@@ -199,6 +245,316 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 /// Infinity norm of a vector.
 pub fn vec_norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
+}
+
+/// Smallest pivot magnitude either LU accepts.
+const TINY_PIVOT: f64 = 1e-300;
+
+/// A reused pivot must be at least this fraction of the largest entry
+/// that could have been chosen in its column (Sparse 1.3's default
+/// relative threshold).
+const PIVOT_THRESHOLD: f64 = 1e-3;
+
+/// A greedy minimum-degree elimination order for the structural
+/// `n × n` row-major `pattern`: repeatedly eliminate the unknown with
+/// the fewest remaining neighbours in the symmetrized graph (lowest
+/// index on ties) and join its neighbours into a clique, as its
+/// elimination would fill them. Returns the unknowns in elimination
+/// order.
+///
+/// # Panics
+///
+/// Panics if `pattern.len() != n * n`.
+pub(crate) fn min_degree_order(n: usize, pattern: &[bool]) -> Vec<usize> {
+    assert_eq!(pattern.len(), n * n, "pattern size mismatch");
+    let mut adj = vec![false; n * n];
+    for i in 0..n {
+        for j in 0..n {
+            if i != j && pattern[i * n + j] {
+                adj[i * n + j] = true;
+                adj[j * n + i] = true;
+            }
+        }
+    }
+    // `degree[v]`: v's neighbours not yet eliminated.
+    let mut degree: Vec<usize> = adj
+        .chunks_exact(n.max(1))
+        .map(|row| row.iter().filter(|&&a| a).count())
+        .collect();
+    let mut eliminated = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    let mut neighbours = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = (0..n)
+            .filter(|&v| !eliminated[v])
+            .min_by_key(|&v| degree[v])
+            .expect("an unknown is left");
+        eliminated[v] = true;
+        order.push(v);
+        neighbours.clear();
+        neighbours.extend((0..n).filter(|&u| !eliminated[u] && adj[v * n + u]));
+        for &a in &neighbours {
+            degree[a] -= 1;
+            for &b in &neighbours {
+                if a != b && !adj[a * n + b] {
+                    adj[a * n + b] = true;
+                    degree[a] += 1;
+                }
+            }
+        }
+    }
+    order
+}
+
+/// Work counters of a [`PivotedLu`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LuCounts {
+    /// Numeric factorizations: one per solve, plus one for each
+    /// refactorization abandoned at a failed pivot.
+    pub factorizations: u64,
+    /// Fresh pivot searches after a reused pivot failed the threshold
+    /// (the first analysis is not counted).
+    pub reanalyses: u64,
+    /// Stored L and U entries of the current pivot order.
+    pub factor_nonzeros: u64,
+}
+
+/// One elimination step of an analysed LU: how many of the flat entry
+/// lists of [`PivotedLu`] it owns.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// Slot of the pivot `U[k][k]`.
+    diag: u32,
+    /// Entries of L's column `k` below the pivot.
+    lower: u32,
+    /// Entries of U's row `k` right of the pivot.
+    upper: u32,
+}
+
+/// An LU that chooses its pivots once and reuses them for every later
+/// matrix of the same structural pattern (see the module docs).
+///
+/// The first [`PivotedLu::solve`], and any solve whose reused pivots
+/// fail the threshold, is a dense [`Matrix::solve_in_place`]; the others
+/// refactor along precomputed fill lists. Every entry of the factors
+/// lives in one slot of a compact value array.
+#[derive(Debug, Clone)]
+pub(crate) struct PivotedLu {
+    n: usize,
+    /// Row-major `n × n` structural pattern: the entries that may be
+    /// nonzero in any matrix solved.
+    pattern: Vec<bool>,
+    /// `rows[k]`: the matrix row used as pivot `k`.
+    rows: Vec<usize>,
+    /// One entry per pivot; empty until analysed.
+    steps: Vec<Step>,
+    /// Slots and row positions of L's entries, column by column.
+    lower: Vec<(u32, u32)>,
+    /// Slots and columns of U's off-diagonal entries, row by row.
+    upper: Vec<(u32, u32)>,
+    /// Update targets: for each L entry, one slot per entry of its
+    /// step's U row.
+    targets: Vec<u32>,
+    /// `values[s] = a[gather[s]]`: where each slot's entry comes from in
+    /// the dense matrix.
+    gather: Vec<u32>,
+    /// The factors, one value per slot.
+    values: Vec<f64>,
+    /// Right-hand side in pivot order, then the solution.
+    y: Vec<f64>,
+    counts: LuCounts,
+}
+
+impl PivotedLu {
+    /// An unanalysed LU for `n × n` matrices whose nonzeros lie within
+    /// the row-major `pattern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern.len() != n * n`, or if `n * n` slots do not fit
+    /// in `u32` indices.
+    pub(crate) fn new(n: usize, pattern: Vec<bool>) -> Self {
+        assert_eq!(pattern.len(), n * n, "pattern size mismatch");
+        assert!(u32::try_from(n * n).is_ok(), "matrix too large");
+        PivotedLu {
+            n,
+            pattern,
+            rows: Vec::new(),
+            steps: Vec::new(),
+            lower: Vec::new(),
+            upper: Vec::new(),
+            targets: Vec::new(),
+            gather: Vec::new(),
+            values: Vec::new(),
+            y: vec![0.0; n],
+            counts: LuCounts::default(),
+        }
+    }
+
+    /// The work counters so far.
+    pub(crate) fn counts(&self) -> LuCounts {
+        self.counts
+    }
+
+    /// Solves `a · x = b`, overwriting `b` with the solution. `a`'s
+    /// nonzeros must lie within the pattern; it is left intact by a
+    /// refactorization and overwritten by an analysis.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::SingularMatrix`] when the reused pivots fail
+    /// and a fresh partial-pivot search finds no usable pivot either.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not `n × n` or `b.len() != n`.
+    pub(crate) fn solve(&mut self, a: &mut Matrix, b: &mut [f64]) -> Result<()> {
+        assert!(
+            a.n_rows == self.n && a.n_cols == self.n,
+            "matrix does not match the pattern"
+        );
+        assert_eq!(b.len(), self.n, "rhs dimension mismatch");
+        if !self.steps.is_empty() {
+            self.counts.factorizations += 1;
+            if self.refactor(a) {
+                self.substitute(b);
+                return Ok(());
+            }
+            self.counts.reanalyses += 1;
+        }
+        self.analyse(a, b)
+    }
+
+    /// Factors `a` by the dense partial-pivot LU (solving `b`), then
+    /// derives the fill lists of the row sequence it chose.
+    fn analyse(&mut self, a: &mut Matrix, b: &mut [f64]) -> Result<()> {
+        let n = self.n;
+        self.steps.clear();
+        self.rows.clear();
+        self.rows.extend(0..n);
+        self.counts.factorizations += 1;
+        a.lu_solve(b, Some(&mut self.rows))?;
+
+        // Symbolic elimination in pivot order: `fill[i][j]` may be nonzero
+        // in row position `i` once steps `< i` are done.
+        let mut fill = vec![false; n * n];
+        for (i, &r) in self.rows.iter().enumerate() {
+            fill[i * n..(i + 1) * n].copy_from_slice(&self.pattern[r * n..(r + 1) * n]);
+        }
+        for k in 0..n {
+            fill[k * n + k] = true;
+            let (done, below) = fill.split_at_mut((k + 1) * n);
+            let pivot = &done[k * n..];
+            for row in below.chunks_exact_mut(n).filter(|row| row[k]) {
+                for (f, &p) in row[k + 1..].iter_mut().zip(&pivot[k + 1..]) {
+                    *f |= p;
+                }
+            }
+        }
+        // Slot indices fit in u32: there are at most n * n (checked in `new`).
+        let mut slot = vec![u32::MAX; n * n];
+        self.gather.clear();
+        for (pos, _) in fill.iter().enumerate().filter(|(_, &f)| f) {
+            slot[pos] = self.gather.len() as u32;
+            let (i, j) = (pos / n, pos % n);
+            self.gather.push((self.rows[i] * n + j) as u32);
+        }
+        self.values.resize(self.gather.len(), 0.0);
+        self.lower.clear();
+        self.upper.clear();
+        self.targets.clear();
+        for k in 0..n {
+            let (l0, u0) = (self.lower.len(), self.upper.len());
+            self.lower.extend(
+                (k + 1..n)
+                    .filter(|&i| fill[i * n + k])
+                    .map(|i| (slot[i * n + k], i as u32)),
+            );
+            self.upper.extend(
+                (k + 1..n)
+                    .filter(|&j| fill[k * n + j])
+                    .map(|j| (slot[k * n + j], j as u32)),
+            );
+            for &(_, i) in &self.lower[l0..] {
+                for &(_, j) in &self.upper[u0..] {
+                    self.targets.push(slot[i as usize * n + j as usize]);
+                }
+            }
+            self.steps.push(Step {
+                diag: slot[k * n + k],
+                lower: (self.lower.len() - l0) as u32,
+                upper: (self.upper.len() - u0) as u32,
+            });
+        }
+        self.counts.factor_nonzeros = self.gather.len() as u64;
+        Ok(())
+    }
+
+    /// Numeric LU of `a` along the analysed lists; `false` when a reused
+    /// pivot fails the threshold.
+    fn refactor(&mut self, a: &Matrix) -> bool {
+        for (v, &g) in self.values.iter_mut().zip(&self.gather) {
+            *v = a.data[g as usize];
+        }
+        let values = &mut self.values[..];
+        let (mut lower, mut upper, mut targets) =
+            (&self.lower[..], &self.upper[..], &self.targets[..]);
+        for step in &self.steps {
+            let (col, rest) = lower.split_at(step.lower as usize);
+            lower = rest;
+            let (row, rest) = upper.split_at(step.upper as usize);
+            upper = rest;
+            let pivot = values[step.diag as usize];
+            let col_max = col
+                .iter()
+                .fold(pivot.abs(), |m, &(s, _)| m.max(values[s as usize].abs()));
+            // The negated forms also reject a NaN pivot.
+            if !(pivot.abs() >= TINY_PIVOT && pivot.abs() >= PIVOT_THRESHOLD * col_max) {
+                return false;
+            }
+            for &(s, _) in col {
+                let (row_targets, rest) = targets.split_at(row.len());
+                targets = rest;
+                let factor = values[s as usize] / pivot;
+                values[s as usize] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                for (&(u, _), &t) in row.iter().zip(row_targets) {
+                    values[t as usize] -= factor * values[u as usize];
+                }
+            }
+        }
+        true
+    }
+
+    /// Forward and back substitution with the refactored values.
+    fn substitute(&mut self, b: &mut [f64]) {
+        let y = &mut self.y[..];
+        for (yk, &r) in y.iter_mut().zip(&self.rows) {
+            *yk = b[r];
+        }
+        let mut lower = &self.lower[..];
+        for (k, step) in self.steps.iter().enumerate() {
+            let (col, rest) = lower.split_at(step.lower as usize);
+            lower = rest;
+            let yk = y[k];
+            for &(s, i) in col {
+                y[i as usize] -= self.values[s as usize] * yk;
+            }
+        }
+        let mut upper = &self.upper[..];
+        for (k, step) in self.steps.iter().enumerate().rev() {
+            let (rest, row) = upper.split_at(upper.len() - step.upper as usize);
+            upper = rest;
+            let mut s = y[k];
+            for &(u, j) in row {
+                s -= self.values[u as usize] * y[j as usize];
+            }
+            y[k] = s / self.values[step.diag as usize];
+        }
+        b.copy_from_slice(y);
+    }
 }
 
 #[cfg(test)]
@@ -313,5 +669,204 @@ mod tests {
     #[should_panic(expected = "dimensions must be positive")]
     fn zero_dimension_rejected() {
         let _ = Matrix::zeros(0, 3);
+    }
+
+    #[test]
+    fn min_degree_defers_the_hub() {
+        // A star: the hub (0) touches every leaf; the leaves go first.
+        let n = 5;
+        let mut pattern = vec![false; n * n];
+        for leaf in 1..n {
+            pattern[leaf] = true;
+            pattern[leaf * n] = true;
+        }
+        let order = min_degree_order(n, &pattern);
+        assert_eq!(&order[..3], &[1, 2, 3]);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn nan_pivot_is_singular_on_the_refactor_path_too() {
+        let mut lu = PivotedLu::new(2, vec![true; 4]);
+        let mut b = vec![1.0, 2.0];
+        lu.solve(&mut Matrix::identity(2), &mut b).unwrap();
+        let mut a = Matrix::identity(2);
+        a[(0, 0)] = f64::NAN;
+        a[(0, 1)] = 1.0;
+        assert!(matches!(
+            lu.solve(&mut a, &mut b),
+            Err(SimError::SingularMatrix { pivot_row: 0 })
+        ));
+        assert_eq!(lu.counts().reanalyses, 1);
+        // A failed analysis leaves nothing stale behind.
+        let mut b = vec![1.0, 2.0];
+        lu.solve(&mut Matrix::identity(2), &mut b).unwrap();
+        assert_eq!(b, [1.0, 2.0]);
+    }
+
+    mod refactor {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The dense reference solution.
+        fn dense_solve(a: &Matrix, b: &[f64]) -> Vec<f64> {
+            let mut x = b.to_vec();
+            a.clone()
+                .solve_in_place(&mut x)
+                .expect("test systems are regular");
+            x
+        }
+
+        /// Solves with `lu` and checks it against the dense LU.
+        fn check(
+            lu: &mut PivotedLu,
+            a: &Matrix,
+            b: &[f64],
+        ) -> std::result::Result<(), TestCaseError> {
+            let mut x = b.to_vec();
+            lu.solve(&mut a.clone(), &mut x)
+                .expect("test systems are regular");
+            for (got, want) in x.iter().zip(dense_solve(a, b)) {
+                prop_assert!(
+                    (got - want).abs() <= 1e-10 * want.abs().max(1.0),
+                    "{got} vs dense {want}"
+                );
+            }
+            Ok(())
+        }
+
+        /// A row-diagonally-dominant matrix on `pattern` (diagonal
+        /// always present), `dominance` times the off-diagonal row sum.
+        fn dominant(n: usize, pattern: &[bool], cells: &[f64], dominance: f64) -> Matrix {
+            let mut a = Matrix::zeros(n, n);
+            for i in 0..n {
+                let mut off = 0.0;
+                for j in (0..n).filter(|&j| j != i && pattern[i * n + j]) {
+                    a[(i, j)] = cells[i * n + j];
+                    off += cells[i * n + j].abs();
+                }
+                a[(i, i)] = dominance * (off + 1.0);
+            }
+            a
+        }
+
+        proptest! {
+            #[test]
+            fn diagonally_dominant_sequences_match_the_dense_lu(
+                n in 2usize..=10,
+                density in 0.0f64..1.0,
+                mask in prop::collection::vec(0.0f64..1.0, 100),
+                cells in prop::collection::vec(prop::collection::vec(-1.0f64..1.0, 100), 3),
+                b in prop::collection::vec(-10.0f64..10.0, 10),
+            ) {
+                let pattern: Vec<bool> = (0..n * n)
+                    .map(|k| k % (n + 1) == 0 || mask[k] < density)
+                    .collect();
+                let mut lu = PivotedLu::new(n, pattern.clone());
+                for values in &cells {
+                    check(&mut lu, &dominant(n, &pattern, values, 1.0), &b[..n])?;
+                }
+                prop_assert_eq!(lu.counts().factorizations, 3 + lu.counts().reanalyses);
+            }
+
+            #[test]
+            fn mna_systems_with_a_zero_diagonal_branch_match_the_dense_lu(
+                m in 2usize..=8,
+                edges in prop::collection::vec((0usize..8, 0usize..9, 1e-4f64..1e-2), 1..16),
+                scales in prop::collection::vec(0.1f64..10.0, 16),
+                source in 0usize..8,
+                volts in -5.0f64..5.0,
+                injected in prop::collection::vec(-1e-3f64..1e-3, 8),
+            ) {
+                // Nodes 0..m, a leak from each to ground, resistors between
+                // random node pairs (or to ground), and a voltage source from
+                // `source` to ground whose branch row m has no diagonal.
+                let n = m + 1;
+                let branch = m;
+                let stamp = |scale: &dyn Fn(usize) -> f64| {
+                    let mut a = Matrix::zeros(n, n);
+                    for i in 0..m {
+                        a[(i, i)] += 1e-5;
+                    }
+                    for (k, &(p, q, g)) in edges.iter().enumerate() {
+                        let g = g * scale(k);
+                        let (p, q) = (p % m, (q < m).then_some(q));
+                        a[(p, p)] += g;
+                        if let Some(q) = q {
+                            a[(q, q)] += g;
+                            a[(p, q)] -= g;
+                            a[(q, p)] -= g;
+                        }
+                    }
+                    let s = source % m;
+                    a[(s, branch)] += 1.0;
+                    a[(branch, s)] += 1.0;
+                    a
+                };
+                let natural = [stamp(&|_| 1.0), stamp(&|k| scales[k])];
+                let mut b = injected[..m].to_vec();
+                b.push(volts);
+                // Solve in the fill-reducing order, as the circuit compiler
+                // lays the system out.
+                let mut pattern = vec![false; n * n];
+                for a in &natural {
+                    for (p, &v) in pattern.iter_mut().zip(&a.data) {
+                        *p |= v != 0.0;
+                    }
+                }
+                prop_assert!(!pattern[branch * n + branch]);
+                let order = min_degree_order(n, &pattern);
+                let permute = |a: &Matrix| {
+                    let mut p = Matrix::zeros(n, n);
+                    for (i, &oi) in order.iter().enumerate() {
+                        for (j, &oj) in order.iter().enumerate() {
+                            p[(i, j)] = a[(oi, oj)];
+                        }
+                    }
+                    p
+                };
+                let ordered_pattern: Vec<bool> = (0..n * n)
+                    .map(|k| pattern[order[k / n] * n + order[k % n]])
+                    .collect();
+                let ordered_b: Vec<f64> = order.iter().map(|&o| b[o]).collect();
+                let mut lu = PivotedLu::new(n, ordered_pattern);
+                for a in &natural {
+                    check(&mut lu, &permute(a), &ordered_b)?;
+                }
+                prop_assert!(lu.counts().factor_nonzeros <= (n * n) as u64);
+            }
+
+            #[test]
+            fn moved_pivots_force_one_reanalysis(
+                n in 2usize..=8,
+                shift in 1usize..8,
+                cells in prop::collection::vec(prop::collection::vec(-1.0f64..1.0, 64), 3),
+                b in prop::collection::vec(-10.0f64..10.0, 8),
+            ) {
+                // Strongly dominant matrices on the full pattern. The first
+                // pivots on the diagonal; the next two have their rows
+                // cyclically shifted, so every reused pivot is an
+                // off-diagonal entry below 1e-3 of its column's maximum.
+                let full = vec![true; n * n];
+                let shift = 1 + shift % (n - 1);
+                let mut lu = PivotedLu::new(n, full.clone());
+                for (t, values) in cells.iter().enumerate() {
+                    let d = dominant(n, &full, values, 1e3);
+                    let mut a = d.clone();
+                    if t > 0 {
+                        for i in 0..n {
+                            for j in 0..n {
+                                a[(i, j)] = d[((i + shift) % n, j)];
+                            }
+                        }
+                    }
+                    check(&mut lu, &a, &b[..n])?;
+                }
+                prop_assert_eq!(lu.counts().reanalyses, 1);
+                prop_assert_eq!(lu.counts().factorizations, 4);
+            }
+        }
     }
 }

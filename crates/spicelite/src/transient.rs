@@ -102,6 +102,31 @@ impl TranOptions {
     }
 }
 
+/// Work counters of one transient run, read with [`Waveform::stats`].
+///
+/// Every count is a plain function of the circuit and the options, so a
+/// repeated run reports the same numbers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TranStats {
+    /// Time steps accepted.
+    pub accepted_steps: u64,
+    /// Time steps rejected because Newton did not converge (the step is
+    /// halved and retried).
+    pub rejected_steps: u64,
+    /// Newton iterations over the whole run, including the initial
+    /// operating point of a non-`uic` run.
+    pub newton_iterations: u64,
+    /// Numeric LU factorizations: one per Newton iteration, plus one for
+    /// each refactorization abandoned at a failed reused pivot.
+    pub factorizations: u64,
+    /// Pivot re-analyses: fresh partial-pivot searches made because a
+    /// reused pivot failed the threshold (the first analysis of the run
+    /// is not counted).
+    pub reanalyses: u64,
+    /// Stored L and U entries of the run's final pivot order.
+    pub factor_nonzeros: u64,
+}
+
 /// Internal per-capacitor integration state.
 #[derive(Debug, Clone, Copy, Default)]
 struct CapState {
@@ -200,6 +225,7 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
     let mut h = opts.dt;
     let mut easy_streak = 0u32;
     let mut attempts: u64 = 0;
+    let mut rejected: u64 = 0;
 
     while t < opts.t_stop {
         if t + h > opts.t_stop {
@@ -265,6 +291,7 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
                 }
             }
             Err(SimError::NoConvergence { .. }) => {
+                rejected += 1;
                 easy_streak = 0;
                 h *= 0.5;
                 if h < opts.dt_min {
@@ -274,6 +301,15 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
             Err(e) => return Err(e),
         }
     }
+    let (newton_iterations, lu) = newton.counts();
+    wave.set_stats(TranStats {
+        accepted_steps: attempts - rejected,
+        rejected_steps: rejected,
+        newton_iterations,
+        factorizations: lu.factorizations,
+        reanalyses: lu.reanalyses,
+        factor_nonzeros: lu.factor_nonzeros,
+    });
     Ok(wave)
 }
 

@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 
 use crate::circuit::Circuit;
 use crate::error::{Result, SimError};
+use crate::transient::TranStats;
 
 /// A recorded multi-signal waveform.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,6 +19,7 @@ pub struct Waveform {
     names: Vec<String>,
     /// `data[k]` is the sample vector of signal `k`.
     data: Vec<Vec<f64>>,
+    stats: TranStats,
 }
 
 impl Waveform {
@@ -40,7 +42,19 @@ impl Waveform {
             times: Vec::new(),
             names,
             data,
+            stats: TranStats::default(),
         }
+    }
+
+    /// The solver work counters of the transient that recorded this
+    /// waveform (all zero for one built by hand).
+    #[inline]
+    pub fn stats(&self) -> TranStats {
+        self.stats
+    }
+
+    pub(crate) fn set_stats(&mut self, stats: TranStats) {
+        self.stats = stats;
     }
 
     /// Appends one time point.

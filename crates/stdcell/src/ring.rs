@@ -9,11 +9,24 @@
 use spicelite::circuit::Circuit;
 use spicelite::devices::MosModel;
 use spicelite::error::{Result, SimError};
-use spicelite::transient::{run_transient, TranOptions};
+use spicelite::transient::{run_transient, TranOptions, TranStats};
 use spicelite::waveform::Waveform;
 use tsense_core::gate::GateKind;
 
 use crate::cells::{emit_cell, CellSizing};
+
+/// A period measurement with the solver work that produced it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PeriodMeasurement {
+    /// Steady-state oscillation period, seconds.
+    pub period: f64,
+    /// Transients simulated, each from `t = 0` over a doubled horizon
+    /// (1 when the first horizon held enough cycles).
+    pub horizons: u32,
+    /// Solver counters summed over every horizon (`factor_nonzeros` is
+    /// the last horizon's).
+    pub stats: TranStats,
+}
 
 /// A ring-oscillator description ready to be elaborated at any
 /// temperature.
@@ -151,6 +164,16 @@ impl TransistorRing {
     /// enough crossings (it is not oscillating), or propagates solver
     /// failures.
     pub fn measure_period(&self, temp_c: f64) -> Result<f64> {
+        self.measure_period_with_stats(temp_c).map(|m| m.period)
+    }
+
+    /// [`TransistorRing::measure_period`], also reporting how many
+    /// horizons it simulated and the solver work they took.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TransistorRing::measure_period`].
+    pub fn measure_period_with_stats(&self, temp_c: f64) -> Result<PeriodMeasurement> {
         // Rough period estimate from the Level-1 saturation current to
         // pick the horizon and step: t ≈ N · C_node·V / I_on per edge pair.
         let c_node = (self.nmos.cg_per_width * self.sizing.wn
@@ -169,16 +192,37 @@ impl TransistorRing {
 
     /// The horizon-doubling loop of [`TransistorRing::measure_period`],
     /// starting at `t_stop` with steps no longer than `dt_cap`.
-    fn measure_period_from(&self, temp_c: f64, mut t_stop: f64, dt_cap: f64) -> Result<f64> {
+    fn measure_period_from(
+        &self,
+        temp_c: f64,
+        mut t_stop: f64,
+        dt_cap: f64,
+    ) -> Result<PeriodMeasurement> {
         let threshold = 0.5 * self.vdd;
+        let mut stats = TranStats::default();
         for attempt in 0..4 {
             if attempt > 0 {
                 t_stop *= 2.0;
             }
             let dt = (t_stop / 4000.0).min(dt_cap);
             let wave = self.simulate(temp_c, t_stop, dt)?;
+            let run = wave.stats();
+            stats = TranStats {
+                accepted_steps: stats.accepted_steps + run.accepted_steps,
+                rejected_steps: stats.rejected_steps + run.rejected_steps,
+                newton_iterations: stats.newton_iterations + run.newton_iterations,
+                factorizations: stats.factorizations + run.factorizations,
+                reanalyses: stats.reanalyses + run.reanalyses,
+                factor_nonzeros: run.factor_nonzeros,
+            };
             match wave.period("n0", threshold, 3) {
-                Ok(p) => return Ok(p),
+                Ok(period) => {
+                    return Ok(PeriodMeasurement {
+                        period,
+                        horizons: attempt + 1,
+                        stats,
+                    })
+                }
                 Err(SimError::Measurement { .. }) => {}
                 Err(e) => return Err(e),
             }
@@ -273,6 +317,31 @@ mod tests {
             }
             other => panic!("expected a measurement failure, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn solver_counts_are_deterministic() {
+        // 5×INV at 27 °C, the Fig. 3 sizing: one horizon of 4001 accepted
+        // steps at ~2.25 Newton iterations each, one pivot re-analysis
+        // after the first analysis, 35 of the 7 × 7 factor entries stored.
+        let r = ring(GateKind::Inv, 5, 1.5);
+        let first = r.measure_period_with_stats(27.0).unwrap();
+        assert_eq!(r.measure_period_with_stats(27.0).unwrap(), first);
+        assert_eq!(first.period, r.measure_period(27.0).unwrap());
+        assert_eq!(first.horizons, 1);
+        assert_eq!(
+            first.stats,
+            TranStats {
+                accepted_steps: 4001,
+                rejected_steps: 0,
+                newton_iterations: 9023,
+                factorizations: 9024,
+                reanalyses: 1,
+                factor_nonzeros: 35,
+            }
+        );
+        let s = first.stats;
+        assert_eq!(s.factorizations, s.newton_iterations + s.reanalyses);
     }
 
     #[test]
