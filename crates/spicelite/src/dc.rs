@@ -11,7 +11,7 @@
 use crate::circuit::{Circuit, NodeId};
 use crate::error::{Result, SimError};
 use crate::linalg::{vec_norm_inf, LuCounts, PivotedLu};
-use crate::mna::{node_voltage, CapCompanion, MnaSystem, StampProgram};
+use crate::mna::{node_voltage, CapCompanion, StampProgram};
 
 /// Tolerances and iteration limits of the Newton solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,24 +86,27 @@ impl DcSolution {
 }
 
 /// The Newton–Raphson solver of one analysis: the compiled circuit plus
-/// the system, factorization and iterate storage that every solve reuses
-/// (shared by DC and each transient step).
+/// the slot arrays, factorization and iterate storage that every solve
+/// reuses (shared by DC and each transient step).
 ///
 /// Internally everything is in the program's fill-reducing row order;
 /// [`Newton::solve`] takes and returns natural-order vectors.
 pub(crate) struct Newton<'c> {
     program: StampProgram<'c>,
-    /// The stamps that do not depend on the iterate: the conductances as
-    /// last stamped and the sources of the current solve.
-    base: MnaSystem,
+    /// The conductances that do not depend on the iterate, as last
+    /// stamped, in slot form (see [`StampProgram`]).
+    base_a: Vec<f64>,
+    /// The sources of the current solve.
+    base_z: Vec<f64>,
     /// The gmin and, in a transient, the capacitor companion conductances
-    /// that `base.a` was stamped with (gmin NaN before the first solve).
+    /// that `base_a` was stamped with (gmin NaN before the first solve).
     base_gmin: f64,
     base_geq: Option<Vec<f64>>,
-    /// `base` plus the MOSFET stamps of the current iteration.
-    sys: MnaSystem,
+    /// `base_a`/`base_z` plus the MOSFET stamps of the current iteration.
+    a: Vec<f64>,
+    z: Vec<f64>,
     lu: PivotedLu,
-    /// The iterate, in program row order.
+    /// The iterate, in program row order, then the ground potential 0.
     x: Vec<f64>,
     /// The converged iterate, in natural order.
     out: Vec<f64>,
@@ -113,17 +116,20 @@ pub(crate) struct Newton<'c> {
 impl<'c> Newton<'c> {
     pub(crate) fn new(circuit: &'c Circuit) -> Self {
         let program = StampProgram::compile(circuit);
-        let sys = program.system();
-        let lu = PivotedLu::new(sys.a.n_rows(), program.pattern());
+        let lu = PivotedLu::new(program.pattern().clone());
+        let slots = vec![0.0; program.pattern().len() + 1];
+        let rows = vec![0.0; program.pattern().n() + 1];
         let n = circuit.unknown_count();
         Newton {
-            base: sys.clone(),
+            base_a: slots.clone(),
+            base_z: rows.clone(),
             base_gmin: f64::NAN,
             base_geq: None,
-            sys,
+            a: slots,
+            z: rows,
             program,
             lu,
-            x: vec![0.0; n],
+            x: vec![0.0; n + 1],
             out: vec![0.0; n],
             iterations: 0,
         }
@@ -156,8 +162,8 @@ impl<'c> Newton<'c> {
         } else {
             "DC"
         };
-        assert_eq!(x0.len(), self.x.len(), "guess does not match the circuit");
-        if self.x.is_empty() {
+        assert_eq!(x0.len(), self.out.len(), "guess does not match the circuit");
+        if self.out.is_empty() {
             return Ok(&self.out);
         }
         let rows = self.program.rows();
@@ -169,24 +175,26 @@ impl<'c> Newton<'c> {
             time.map(|_| cap_companions.expect("transient assembly requires capacitor companions"));
         if !self.base_conductances_match(gmin, companions) {
             self.program
-                .stamp_conductances(&mut self.base, time.is_some(), companions, gmin);
+                .stamp_conductances(&mut self.base_a, time.is_some(), companions, gmin);
             self.base_gmin = gmin;
             self.base_geq = companions.map(|c| c.iter().map(|c| c.geq).collect());
         }
         self.program
-            .stamp_sources(&mut self.base, time, cap_companions, source_scale);
+            .stamp_sources(&mut self.base_z, time, cap_companions, source_scale);
         for iter in 0..opts.max_iterations {
             self.iterations += 1;
-            let MnaSystem { a, z, .. } = &mut self.sys;
-            a.copy_from(&self.base.a);
-            z.copy_from_slice(&self.base.z);
-            self.program.stamp_nonlinear(&mut self.sys, &self.x);
-            // The right-hand side becomes the new iterate.
-            let MnaSystem { a, z, .. } = &mut self.sys;
-            self.lu.solve(a, z)?;
+            self.a.copy_from_slice(&self.base_a);
+            self.z.copy_from_slice(&self.base_z);
+            self.program
+                .stamp_nonlinear(&mut self.a, &mut self.z, &self.x);
+            // The right-hand side becomes the new iterate; the discard
+            // slot and row of ground stay out of the solve.
+            let n = self.out.len();
+            self.lu
+                .solve(&self.a[..self.a.len() - 1], &mut self.z[..n])?;
             // Damped update.
             let mut max_delta = 0.0_f64;
-            for (xi, xn) in self.x.iter_mut().zip(&self.sys.z) {
+            for (xi, xn) in self.x[..n].iter_mut().zip(&self.z[..n]) {
                 let mut delta = xn - *xi;
                 if delta > opts.max_step {
                     delta = opts.max_step;

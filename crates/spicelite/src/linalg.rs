@@ -198,20 +198,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Overwrites `self` with the entries of `other` (same shape) without
-    /// reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub(crate) fn copy_from(&mut self, other: &Matrix) {
-        assert!(
-            self.n_rows == other.n_rows && self.n_cols == other.n_cols,
-            "dimension mismatch"
-        );
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Infinity norm of the matrix (max absolute row sum).
     pub fn norm_inf(&self) -> f64 {
         (0..self.n_rows)
@@ -306,6 +292,94 @@ pub(crate) fn min_degree_order(n: usize, pattern: &[bool]) -> Vec<usize> {
     order
 }
 
+/// A structural pattern with its entries numbered: slot `k` is the
+/// `k`-th entry of the row-major `n × n` pattern.
+///
+/// Assembly stamps into an array of [`SlotPattern::len`]` + 1` values.
+/// The last one is a discard slot: it takes the stamps into the row or
+/// column of ground, which the system does not have, so that no stamp
+/// needs a branch.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotPattern {
+    n: usize,
+    /// `index[r * n + c]`: the slot of entry `(r, c)`, `u32::MAX`
+    /// outside the pattern.
+    index: Vec<u32>,
+    /// `r * n + c` of each slot.
+    positions: Vec<u32>,
+}
+
+impl SlotPattern {
+    /// Numbers the entries of the row-major `n × n` `pattern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pattern.len() != n * n`, or if `n * n` does not fit in
+    /// `u32` slot indices.
+    pub(crate) fn new(n: usize, pattern: &[bool]) -> Self {
+        assert_eq!(pattern.len(), n * n, "pattern size mismatch");
+        assert!(u32::try_from(n * n).is_ok(), "matrix too large");
+        let mut index = vec![u32::MAX; n * n];
+        let mut positions = Vec::new();
+        for (pos, _) in pattern.iter().enumerate().filter(|(_, &p)| p) {
+            index[pos] = positions.len() as u32;
+            positions.push(pos as u32);
+        }
+        SlotPattern {
+            n,
+            index,
+            positions,
+        }
+    }
+
+    /// Rows (and columns) of the matrices.
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Entries in the pattern (the discard slot excluded).
+    pub(crate) fn len(&self) -> usize {
+        self.positions.len()
+    }
+
+    /// The slot of entry `(r, c)`; a row or column equal to `n` stands
+    /// for ground and maps to the discard slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry is outside the pattern.
+    pub(crate) fn slot(&self, r: usize, c: usize) -> u32 {
+        if r == self.n || c == self.n {
+            return self.positions.len() as u32;
+        }
+        let s = self.index[r * self.n + c];
+        assert!(s != u32::MAX, "entry ({r}, {c}) outside the pattern");
+        s
+    }
+
+    fn contains(&self, pos: usize) -> bool {
+        self.index[pos] != u32::MAX
+    }
+
+    /// Overwrites `m` with the slot values `a` (zero off the pattern).
+    pub(crate) fn scatter(&self, a: &[f64], m: &mut Matrix) {
+        assert!(
+            m.n_rows == self.n && m.n_cols == self.n,
+            "matrix does not match the pattern"
+        );
+        m.clear();
+        for (&pos, &v) in self.positions.iter().zip(a) {
+            m.data[pos as usize] = v;
+        }
+    }
+
+    /// The slot values of `m`'s pattern entries.
+    #[cfg(test)]
+    pub(crate) fn gather(&self, m: &Matrix) -> Vec<f64> {
+        self.positions.iter().map(|&p| m.data[p as usize]).collect()
+    }
+}
+
 /// Work counters of a [`PivotedLu`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LuCounts {
@@ -334,16 +408,17 @@ struct Step {
 /// An LU that chooses its pivots once and reuses them for every later
 /// matrix of the same structural pattern (see the module docs).
 ///
-/// The first [`PivotedLu::solve`], and any solve whose reused pivots
-/// fail the threshold, is a dense [`Matrix::solve_in_place`]; the others
-/// refactor along precomputed fill lists. Every entry of the factors
-/// lives in one slot of a compact value array.
+/// Matrices come in slot form (one value per [`SlotPattern`] entry). The
+/// first [`PivotedLu::solve`], and any solve whose reused pivots fail
+/// the threshold, scatters them into a dense matrix for
+/// [`Matrix::solve_in_place`]'s LU; the others refactor along precomputed
+/// fill lists. Every entry of the factors lives in one slot of a compact
+/// value array.
 #[derive(Debug, Clone)]
 pub(crate) struct PivotedLu {
-    n: usize,
-    /// Row-major `n × n` structural pattern: the entries that may be
-    /// nonzero in any matrix solved.
-    pattern: Vec<bool>,
+    pattern: SlotPattern,
+    /// The dense matrix of an analysis (overwritten by its factors).
+    dense: Matrix,
     /// `rows[k]`: the matrix row used as pivot `k`.
     rows: Vec<usize>,
     /// One entry per pivot; empty until analysed.
@@ -355,9 +430,8 @@ pub(crate) struct PivotedLu {
     /// Update targets: for each L entry, one slot per entry of its
     /// step's U row.
     targets: Vec<u32>,
-    /// `values[s] = a[gather[s]]`: where each slot's entry comes from in
-    /// the dense matrix.
-    gather: Vec<u32>,
+    /// `scatter[p]`: the factor slot that pattern slot `p` starts in.
+    scatter: Vec<u32>,
     /// The factors, one value per slot.
     values: Vec<f64>,
     /// Right-hand side in pivot order, then the solution.
@@ -366,25 +440,19 @@ pub(crate) struct PivotedLu {
 }
 
 impl PivotedLu {
-    /// An unanalysed LU for `n × n` matrices whose nonzeros lie within
-    /// the row-major `pattern`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pattern.len() != n * n`, or if `n * n` slots do not fit
-    /// in `u32` indices.
-    pub(crate) fn new(n: usize, pattern: Vec<bool>) -> Self {
-        assert_eq!(pattern.len(), n * n, "pattern size mismatch");
-        assert!(u32::try_from(n * n).is_ok(), "matrix too large");
+    /// An unanalysed LU for matrices whose nonzeros lie within
+    /// `pattern`.
+    pub(crate) fn new(pattern: SlotPattern) -> Self {
+        let n = pattern.n();
         PivotedLu {
-            n,
+            dense: Matrix::zeros(n, n),
             pattern,
             rows: Vec::new(),
             steps: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
             targets: Vec::new(),
-            gather: Vec::new(),
+            scatter: Vec::new(),
             values: Vec::new(),
             y: vec![0.0; n],
             counts: LuCounts::default(),
@@ -396,9 +464,8 @@ impl PivotedLu {
         self.counts
     }
 
-    /// Solves `a · x = b`, overwriting `b` with the solution. `a`'s
-    /// nonzeros must lie within the pattern; it is left intact by a
-    /// refactorization and overwritten by an analysis.
+    /// Solves `A · x = b` for the matrix whose pattern entries are the
+    /// slot values `a`, overwriting `b` with the solution.
     ///
     /// # Errors
     ///
@@ -407,13 +474,14 @@ impl PivotedLu {
     ///
     /// # Panics
     ///
-    /// Panics if `a` is not `n × n` or `b.len() != n`.
-    pub(crate) fn solve(&mut self, a: &mut Matrix, b: &mut [f64]) -> Result<()> {
-        assert!(
-            a.n_rows == self.n && a.n_cols == self.n,
+    /// Panics if `a` is not one value per pattern slot or `b.len() != n`.
+    pub(crate) fn solve(&mut self, a: &[f64], b: &mut [f64]) -> Result<()> {
+        assert_eq!(
+            a.len(),
+            self.pattern.len(),
             "matrix does not match the pattern"
         );
-        assert_eq!(b.len(), self.n, "rhs dimension mismatch");
+        assert_eq!(b.len(), self.pattern.n(), "rhs dimension mismatch");
         if !self.steps.is_empty() {
             self.counts.factorizations += 1;
             if self.refactor(a) {
@@ -427,19 +495,22 @@ impl PivotedLu {
 
     /// Factors `a` by the dense partial-pivot LU (solving `b`), then
     /// derives the fill lists of the row sequence it chose.
-    fn analyse(&mut self, a: &mut Matrix, b: &mut [f64]) -> Result<()> {
-        let n = self.n;
+    fn analyse(&mut self, a: &[f64], b: &mut [f64]) -> Result<()> {
+        let n = self.pattern.n();
         self.steps.clear();
         self.rows.clear();
         self.rows.extend(0..n);
         self.counts.factorizations += 1;
-        a.lu_solve(b, Some(&mut self.rows))?;
+        self.pattern.scatter(a, &mut self.dense);
+        self.dense.lu_solve(b, Some(&mut self.rows))?;
 
         // Symbolic elimination in pivot order: `fill[i][j]` may be nonzero
         // in row position `i` once steps `< i` are done.
         let mut fill = vec![false; n * n];
         for (i, &r) in self.rows.iter().enumerate() {
-            fill[i * n..(i + 1) * n].copy_from_slice(&self.pattern[r * n..(r + 1) * n]);
+            for (j, f) in fill[i * n..(i + 1) * n].iter_mut().enumerate() {
+                *f = self.pattern.contains(r * n + j);
+            }
         }
         for k in 0..n {
             fill[k * n + k] = true;
@@ -451,15 +522,25 @@ impl PivotedLu {
                 }
             }
         }
-        // Slot indices fit in u32: there are at most n * n (checked in `new`).
+        // Slot indices fit in u32: there are at most n * n (checked by
+        // the pattern).
         let mut slot = vec![u32::MAX; n * n];
-        self.gather.clear();
+        let mut n_slots = 0u32;
         for (pos, _) in fill.iter().enumerate().filter(|(_, &f)| f) {
-            slot[pos] = self.gather.len() as u32;
-            let (i, j) = (pos / n, pos % n);
-            self.gather.push((self.rows[i] * n + j) as u32);
+            slot[pos] = n_slots;
+            n_slots += 1;
         }
-        self.values.resize(self.gather.len(), 0.0);
+        self.values.resize(n_slots as usize, 0.0);
+        let mut position = vec![0; n];
+        for (i, &r) in self.rows.iter().enumerate() {
+            position[r] = i;
+        }
+        self.scatter.clear();
+        self.scatter
+            .extend(self.pattern.positions.iter().map(|&pos| {
+                let (r, c) = (pos as usize / n, pos as usize % n);
+                slot[position[r] * n + c]
+            }));
         self.lower.clear();
         self.upper.clear();
         self.targets.clear();
@@ -486,15 +567,17 @@ impl PivotedLu {
                 upper: (self.upper.len() - u0) as u32,
             });
         }
-        self.counts.factor_nonzeros = self.gather.len() as u64;
+        self.counts.factor_nonzeros = u64::from(n_slots);
         Ok(())
     }
 
     /// Numeric LU of `a` along the analysed lists; `false` when a reused
     /// pivot fails the threshold.
-    fn refactor(&mut self, a: &Matrix) -> bool {
-        for (v, &g) in self.values.iter_mut().zip(&self.gather) {
-            *v = a.data[g as usize];
+    fn refactor(&mut self, a: &[f64]) -> bool {
+        // Fill-in slots start at zero, pattern slots at their entry.
+        self.values.fill(0.0);
+        for (&s, &v) in self.scatter.iter().zip(a) {
+            self.values[s as usize] = v;
         }
         let values = &mut self.values[..];
         let (mut lower, mut upper, mut targets) =
@@ -689,20 +772,23 @@ mod tests {
 
     #[test]
     fn nan_pivot_is_singular_on_the_refactor_path_too() {
-        let mut lu = PivotedLu::new(2, vec![true; 4]);
+        let pattern = SlotPattern::new(2, &[true; 4]);
+        let mut lu = PivotedLu::new(pattern.clone());
         let mut b = vec![1.0, 2.0];
-        lu.solve(&mut Matrix::identity(2), &mut b).unwrap();
+        lu.solve(&pattern.gather(&Matrix::identity(2)), &mut b)
+            .unwrap();
         let mut a = Matrix::identity(2);
         a[(0, 0)] = f64::NAN;
         a[(0, 1)] = 1.0;
         assert!(matches!(
-            lu.solve(&mut a, &mut b),
+            lu.solve(&pattern.gather(&a), &mut b),
             Err(SimError::SingularMatrix { pivot_row: 0 })
         ));
         assert_eq!(lu.counts().reanalyses, 1);
         // A failed analysis leaves nothing stale behind.
         let mut b = vec![1.0, 2.0];
-        lu.solve(&mut Matrix::identity(2), &mut b).unwrap();
+        lu.solve(&pattern.gather(&Matrix::identity(2)), &mut b)
+            .unwrap();
         assert_eq!(b, [1.0, 2.0]);
     }
 
@@ -726,7 +812,7 @@ mod tests {
             b: &[f64],
         ) -> std::result::Result<(), TestCaseError> {
             let mut x = b.to_vec();
-            lu.solve(&mut a.clone(), &mut x)
+            lu.solve(&lu.pattern.gather(a), &mut x)
                 .expect("test systems are regular");
             for (got, want) in x.iter().zip(dense_solve(a, b)) {
                 prop_assert!(
@@ -764,7 +850,7 @@ mod tests {
                 let pattern: Vec<bool> = (0..n * n)
                     .map(|k| k % (n + 1) == 0 || mask[k] < density)
                     .collect();
-                let mut lu = PivotedLu::new(n, pattern.clone());
+                let mut lu = PivotedLu::new(SlotPattern::new(n, &pattern));
                 for values in &cells {
                     check(&mut lu, &dominant(n, &pattern, values, 1.0), &b[..n])?;
                 }
@@ -831,7 +917,7 @@ mod tests {
                     .map(|k| pattern[order[k / n] * n + order[k % n]])
                     .collect();
                 let ordered_b: Vec<f64> = order.iter().map(|&o| b[o]).collect();
-                let mut lu = PivotedLu::new(n, ordered_pattern);
+                let mut lu = PivotedLu::new(SlotPattern::new(n, &ordered_pattern));
                 for a in &natural {
                     check(&mut lu, &permute(a), &ordered_b)?;
                 }
@@ -851,7 +937,7 @@ mod tests {
                 // off-diagonal entry below 1e-3 of its column's maximum.
                 let full = vec![true; n * n];
                 let shift = 1 + shift % (n - 1);
-                let mut lu = PivotedLu::new(n, full.clone());
+                let mut lu = PivotedLu::new(SlotPattern::new(n, &full));
                 for (t, values) in cells.iter().enumerate() {
                     let d = dominant(n, &full, values, 1e3);
                     let mut a = d.clone();

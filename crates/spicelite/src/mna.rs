@@ -32,7 +32,7 @@
 
 use crate::circuit::{Circuit, NodeId};
 use crate::devices::{eval_nmos, Device, MosPolarity, Stimulus};
-use crate::linalg::{min_degree_order, Matrix};
+use crate::linalg::{min_degree_order, Matrix, SlotPattern};
 
 /// A row (and column) of the unknown vector; `None` for ground.
 type Row = Option<usize>;
@@ -187,28 +187,56 @@ pub fn node_voltage(x: &[f64], node: NodeId) -> f64 {
     row_voltage(x, row_of(node))
 }
 
-/// One linear device of a [`StampProgram`]: terminals resolved to rows,
-/// constants evaluated at the circuit temperature.
+/// Adds the conductance `g` to the slots of `(a, a)`, `(b, b)`, `(a, b)`
+/// and `(b, a)`.
+#[inline]
+fn conductance(a: &mut [f64], [aa, bb, ab, ba]: [u32; 4], g: f64) {
+    a[aa as usize] += g;
+    a[bb as usize] += g;
+    a[ab as usize] -= g;
+    a[ba as usize] -= g;
+}
+
+/// The slots of `(a, a)`, `(b, b)`, `(a, b)` and `(b, a)`: a conductance
+/// between rows `a` and `b`.
+fn pair_slots(slot: &mut impl FnMut(usize, usize) -> u32, a: usize, b: usize) -> [u32; 4] {
+    [slot(a, a), slot(b, b), slot(a, b), slot(b, a)]
+}
+
+/// Drives `amps` out of row `from` and into row `to`.
+#[inline]
+fn current(z: &mut [f64], from: u32, to: u32, amps: f64) {
+    z[from as usize] -= amps;
+    z[to as usize] += amps;
+}
+
+/// One linear device of a [`StampProgram`]: matrix entries resolved to
+/// slots of the program's pattern, right-hand-side rows to rows of the
+/// program (ground is the discard row `size`), constants evaluated at
+/// the circuit temperature.
 #[derive(Debug, Clone, Copy)]
 enum Stamp<'c> {
+    /// A conductance between two rows: the slots of `(a, a)`, `(b, b)`,
+    /// `(a, b)` and `(b, a)`.
     Conductance {
-        a: Row,
-        b: Row,
+        slots: [u32; 4],
         g: f64,
     },
     Capacitor {
-        a: Row,
-        b: Row,
+        slots: [u32; 4],
+        a: u32,
+        b: u32,
     },
+    /// The slots of `(pos, branch)`, `(branch, pos)`, `(neg, branch)`
+    /// and `(branch, neg)`.
     Vsource {
-        pos: Row,
-        neg: Row,
-        branch_row: usize,
+        slots: [u32; 4],
+        branch_row: u32,
         stimulus: &'c Stimulus,
     },
     Isource {
-        from: Row,
-        to: Row,
+        from: u32,
+        to: u32,
         amps: f64,
     },
 }
@@ -217,9 +245,13 @@ enum Stamp<'c> {
 /// depends on the iterate.
 #[derive(Debug, Clone, Copy)]
 struct MosStamp {
-    d: Row,
-    g: Row,
-    s: Row,
+    /// Rows of the drain, gate and source (`size` for ground).
+    d: u32,
+    g: u32,
+    s: u32,
+    /// Slots of `(d, d)`, `(s, s)`, `(d, s)`, `(s, d)`, `(d, g)` and
+    /// `(s, g)`.
+    slots: [u32; 6],
     /// `+1` for NMOS, `−1` for PMOS (potentials are mirrored).
     sign: f64,
     /// `KP(T)·W/L`.
@@ -229,29 +261,41 @@ struct MosStamp {
     lambda: f64,
 }
 
+/// The devices of a [`StampProgram`], lowered to slots and rows.
+#[derive(Debug, Clone)]
+struct Stamps<'c> {
+    linear: Vec<Stamp<'c>>,
+    mosfets: Vec<MosStamp>,
+    /// Diagonal slots of the node unknowns, which carry the gmin leaks.
+    node_diagonals: Vec<u32>,
+}
+
 /// A circuit compiled for repeated MNA assembly at its temperature.
 ///
-/// Compiling walks the devices once: node terminals become matrix rows,
-/// resistors become conductances, and every MOSFET's `KP(T)·W/L` and
-/// `Vth(T)` are evaluated. [`StampProgram::compile`] then renumbers the
-/// rows in a fill-reducing order (see [`crate::linalg`]).
+/// Compiling walks the devices twice. The first walk marks every matrix
+/// entry some stamp can touch: that is the structural pattern, from
+/// which [`StampProgram::compile`] derives a fill-reducing row order
+/// (see [`crate::linalg`]). The second walk resolves every stamp to
+/// slots of the pattern in that order ([`SlotPattern`]), turns
+/// resistors into conductances and evaluates every MOSFET's `KP(T)·W/L`
+/// and `Vth(T)`.
 ///
-/// Assembly has three passes. [`StampProgram::stamp_conductances`] and
-/// [`StampProgram::stamp_sources`] stamp the matrix and right-hand-side
-/// entries that do not depend on the iterate; the solver reruns them only
-/// when their inputs change. [`StampProgram::stamp_nonlinear`] adds the
-/// MOSFET linearizations, once per Newton iteration. Each pass adds its
-/// contributions in device order.
+/// Assembly stamps a slot array (one value per pattern entry, then the
+/// discard slot of ground) and a right-hand side (one value per row,
+/// then the discard row of ground), in three passes.
+/// [`StampProgram::stamp_conductances`] and
+/// [`StampProgram::stamp_sources`] stamp the entries that do not depend
+/// on the iterate; the solver reruns them only when their inputs change.
+/// [`StampProgram::stamp_nonlinear`] adds the MOSFET linearizations,
+/// once per Newton iteration. Each pass adds its contributions in device
+/// order.
 #[derive(Debug, Clone)]
 pub(crate) struct StampProgram<'c> {
-    stamps: Vec<Stamp<'c>>,
-    mosfets: Vec<MosStamp>,
-    /// Rows of the node unknowns, which carry the gmin leaks.
-    node_rows: Vec<usize>,
+    stamps: Stamps<'c>,
+    pattern: SlotPattern,
     /// `rows[i]`: the row of unknown `i` of the natural layout.
     rows: Vec<usize>,
     n_nodes: usize,
-    n_unknowns: usize,
 }
 
 impl<'c> StampProgram<'c> {
@@ -262,94 +306,103 @@ impl<'c> StampProgram<'c> {
     ///
     /// Panics if a device terminal is not a node of `circuit`.
     pub(crate) fn compile(circuit: &'c Circuit) -> Self {
-        let mut program = StampProgram::compile_natural(circuit);
-        let n = program.size();
-        let mut rows = vec![0; n];
-        for (k, u) in min_degree_order(n, &program.pattern())
-            .into_iter()
-            .enumerate()
-        {
-            rows[u] = k;
-        }
-        let relabel = |r: &mut Row| {
-            if let Some(i) = r {
-                *i = rows[*i];
-            }
-        };
-        for stamp in &mut program.stamps {
-            match stamp {
-                Stamp::Conductance { a, b, .. } | Stamp::Capacitor { a, b } => {
-                    relabel(a);
-                    relabel(b);
-                }
-                Stamp::Vsource {
-                    pos,
-                    neg,
-                    branch_row,
-                    ..
-                } => {
-                    relabel(pos);
-                    relabel(neg);
-                    *branch_row = rows[*branch_row];
-                }
-                Stamp::Isource { from, to, .. } => {
-                    relabel(from);
-                    relabel(to);
-                }
-            }
-        }
-        for m in &mut program.mosfets {
-            relabel(&mut m.d);
-            relabel(&mut m.g);
-            relabel(&mut m.s);
-        }
-        for r in &mut program.node_rows {
-            *r = rows[*r];
-        }
-        program.rows = rows;
-        program
+        StampProgram::build(circuit, true)
     }
 
     /// Compiles `circuit` with its rows in the natural layout of
     /// [`MnaSystem`] (node voltages, then branch currents).
     fn compile_natural(circuit: &'c Circuit) -> Self {
+        StampProgram::build(circuit, false)
+    }
+
+    fn build(circuit: &'c Circuit, ordered: bool) -> Self {
+        let size = circuit.unknown_count().max(1);
+        let natural: Vec<usize> = (0..size).collect();
+        let mut pattern = vec![false; size * size];
+        StampProgram::lower(circuit, &natural, |r, c| {
+            if r < size && c < size {
+                pattern[r * size + c] = true;
+            }
+            0
+        });
+        let rows = if ordered {
+            let mut rows = vec![0; size];
+            for (k, u) in min_degree_order(size, &pattern).into_iter().enumerate() {
+                rows[u] = k;
+            }
+            rows
+        } else {
+            natural
+        };
+        let mut ordered_pattern = vec![false; size * size];
+        for (pos, _) in pattern.iter().enumerate().filter(|(_, &p)| p) {
+            ordered_pattern[rows[pos / size] * size + rows[pos % size]] = true;
+        }
+        let pattern = SlotPattern::new(size, &ordered_pattern);
+        StampProgram {
+            stamps: StampProgram::lower(circuit, &rows, |r, c| pattern.slot(r, c)),
+            pattern,
+            rows,
+            n_nodes: circuit.unknown_node_count(),
+        }
+    }
+
+    /// Lowers the devices of `circuit` with unknown `i` of the natural
+    /// layout on row `rows[i]`, ground on row `rows.len()`, and every
+    /// matrix entry `(r, c)` resolved by `slot(r, c)`.
+    fn lower(
+        circuit: &'c Circuit,
+        rows: &[usize],
+        mut slot: impl FnMut(usize, usize) -> u32,
+    ) -> Stamps<'c> {
         let temp = circuit.temperature();
         let n_nodes = circuit.unknown_node_count();
+        let ground = rows.len();
         let row = |node: NodeId| {
             assert!(
                 node.index() < circuit.node_count(),
                 "device terminal is not a node of this circuit"
             );
-            row_of(node)
+            if node.is_ground() {
+                ground
+            } else {
+                rows[node.index() - 1]
+            }
         };
-        let mut branch_row = n_nodes;
-        let mut stamps = Vec::new();
-        let mut mosfets = Vec::new();
+        let mut stamps = Stamps {
+            linear: Vec::new(),
+            mosfets: Vec::new(),
+            node_diagonals: Vec::new(),
+        };
+        let mut branch = n_nodes;
         for dev in circuit.devices() {
             match dev {
-                Device::Resistor { a, b, ohms, .. } => stamps.push(Stamp::Conductance {
-                    a: row(*a),
-                    b: row(*b),
+                Device::Resistor { a, b, ohms, .. } => stamps.linear.push(Stamp::Conductance {
+                    slots: pair_slots(&mut slot, row(*a), row(*b)),
                     g: 1.0 / ohms,
                 }),
-                Device::Capacitor { a, b, .. } => stamps.push(Stamp::Capacitor {
-                    a: row(*a),
-                    b: row(*b),
-                }),
+                Device::Capacitor { a, b, .. } => {
+                    let (a, b) = (row(*a), row(*b));
+                    stamps.linear.push(Stamp::Capacitor {
+                        slots: pair_slots(&mut slot, a, b),
+                        a: a as u32,
+                        b: b as u32,
+                    });
+                }
                 Device::Vsource {
                     pos, neg, stimulus, ..
                 } => {
-                    stamps.push(Stamp::Vsource {
-                        pos: row(*pos),
-                        neg: row(*neg),
-                        branch_row,
+                    let (p, n, br) = (row(*pos), row(*neg), rows[branch]);
+                    stamps.linear.push(Stamp::Vsource {
+                        slots: [slot(p, br), slot(br, p), slot(n, br), slot(br, n)],
+                        branch_row: br as u32,
                         stimulus,
                     });
-                    branch_row += 1;
+                    branch += 1;
                 }
-                Device::Isource { from, to, amps, .. } => stamps.push(Stamp::Isource {
-                    from: row(*from),
-                    to: row(*to),
+                Device::Isource { from, to, amps, .. } => stamps.linear.push(Stamp::Isource {
+                    from: row(*from) as u32,
+                    to: row(*to) as u32,
                     amps: *amps,
                 }),
                 Device::Mosfet {
@@ -360,34 +413,35 @@ impl<'c> StampProgram<'c> {
                     w,
                     l,
                     ..
-                } => mosfets.push(MosStamp {
-                    d: row(*d),
-                    g: row(*g),
-                    s: row(*s),
-                    sign: match model.polarity {
-                        MosPolarity::Nmos => 1.0,
-                        MosPolarity::Pmos => -1.0,
-                    },
-                    beta: model.kp_at(temp) * w / l,
-                    vth: model.vth(temp),
-                    lambda: model.lambda,
-                }),
+                } => {
+                    let (d, g, s) = (row(*d), row(*g), row(*s));
+                    let [dd, ss, ds, sd] = pair_slots(&mut slot, d, s);
+                    let (dg, sg) = (slot(d, g), slot(s, g));
+                    stamps.mosfets.push(MosStamp {
+                        d: d as u32,
+                        g: g as u32,
+                        s: s as u32,
+                        slots: [dd, ss, ds, sd, dg, sg],
+                        sign: match model.polarity {
+                            MosPolarity::Nmos => 1.0,
+                            MosPolarity::Pmos => -1.0,
+                        },
+                        beta: model.kp_at(temp) * w / l,
+                        vth: model.vth(temp),
+                        lambda: model.lambda,
+                    });
+                }
             }
         }
-        let size = branch_row.max(1);
-        StampProgram {
-            stamps,
-            mosfets,
-            node_rows: (0..n_nodes).collect(),
-            rows: (0..size).collect(),
-            n_nodes,
-            n_unknowns: branch_row,
-        }
+        stamps
+            .node_diagonals
+            .extend(rows[..n_nodes].iter().map(|&r| slot(r, r)));
+        stamps
     }
 
     /// Rows (and columns) of the system.
     fn size(&self) -> usize {
-        self.n_unknowns.max(1)
+        self.pattern.n()
     }
 
     /// `rows()[i]`: the row of unknown `i` of the natural layout.
@@ -395,161 +449,133 @@ impl<'c> StampProgram<'c> {
         &self.rows
     }
 
-    /// The structural pattern, row-major: every entry that some assembly
-    /// may stamp, whatever the operating point. A cut-off MOSFET still
-    /// owns its drain/source × drain/gate/source entries.
-    pub(crate) fn pattern(&self) -> Vec<bool> {
-        let n = self.size();
-        let mut pattern = vec![false; n * n];
-        let mut set = |r: Row, c: Row| {
-            if let (Some(r), Some(c)) = (r, c) {
-                pattern[r * n + c] = true;
-            }
-        };
-        for &r in &self.node_rows {
-            set(Some(r), Some(r));
-        }
-        for stamp in &self.stamps {
-            match *stamp {
-                Stamp::Conductance { a, b, .. } | Stamp::Capacitor { a, b } => {
-                    for r in [a, b] {
-                        for c in [a, b] {
-                            set(r, c);
-                        }
-                    }
-                }
-                Stamp::Vsource {
-                    pos,
-                    neg,
-                    branch_row,
-                    ..
-                } => {
-                    for t in [pos, neg] {
-                        set(t, Some(branch_row));
-                        set(Some(branch_row), t);
-                    }
-                }
-                Stamp::Isource { .. } => {}
-            }
-        }
-        for m in &self.mosfets {
-            for r in [m.d, m.s] {
-                for c in [m.d, m.g, m.s] {
-                    set(r, c);
-                }
-            }
-        }
-        pattern
+    /// The structural pattern: every entry that some assembly may stamp,
+    /// whatever the operating point. A cut-off MOSFET still owns its
+    /// drain/source × drain/gate/source entries.
+    pub(crate) fn pattern(&self) -> &SlotPattern {
+        &self.pattern
     }
 
-    /// A zeroed system of the right size for this program.
-    pub(crate) fn system(&self) -> MnaSystem {
-        MnaSystem::new(self.size(), self.n_nodes)
-    }
-
-    /// Clears `sys` and stamps the linearization around the guess `x`
-    /// into it. Arguments as for [`assemble`], with `x` in this
-    /// program's row order.
+    /// The system linearized around the guess `x`, in this program's row
+    /// order, with `x[size]` the ground potential 0. Other arguments as
+    /// for [`assemble`].
     ///
     /// # Panics
     ///
     /// As for [`StampProgram::stamp_conductances`].
-    pub(crate) fn assemble_into(
+    fn assemble(
         &self,
-        sys: &mut MnaSystem,
         x: &[f64],
         time: Option<f64>,
         cap_companions: Option<&[CapCompanion]>,
         gmin: f64,
         source_scale: f64,
-    ) {
-        self.stamp_conductances(sys, time.is_some(), cap_companions, gmin);
-        self.stamp_sources(sys, time, cap_companions, source_scale);
-        self.stamp_nonlinear(sys, x);
+    ) -> MnaSystem {
+        let n = self.size();
+        let mut a = vec![0.0; self.pattern.len() + 1];
+        let mut z = vec![0.0; n + 1];
+        self.stamp_conductances(&mut a, time.is_some(), cap_companions, gmin);
+        self.stamp_sources(&mut z, time, cap_companions, source_scale);
+        self.stamp_nonlinear(&mut a, &mut z, x);
+        let mut sys = MnaSystem::new(n, self.n_nodes);
+        self.pattern.scatter(&a, &mut sys.a);
+        z.truncate(n);
+        sys.z = z;
+        sys
     }
 
-    /// Clears `sys.a` and stamps the conductances that do not depend on
-    /// the iterate: gmin node and channel leaks, resistors, the capacitor
-    /// companions of a `transient` step and the voltage-source
-    /// incidences. Arguments as for [`assemble`].
+    /// Overwrites the slot array `a` with the conductances that do not
+    /// depend on the iterate: gmin node and channel leaks, resistors,
+    /// the capacitor companions of a `transient` step and the
+    /// voltage-source incidences. Arguments as for [`assemble`].
     ///
     /// # Panics
     ///
-    /// Panics if `sys` does not have this program's size (as made by
-    /// [`StampProgram::system`]), or if `cap_companions` is shorter than
-    /// the number of capacitors when a transient step is assembled.
+    /// Panics if `a` is not one value per pattern slot plus the discard
+    /// slot, or if `cap_companions` is shorter than the number of
+    /// capacitors when a transient step is assembled.
     pub(crate) fn stamp_conductances(
         &self,
-        sys: &mut MnaSystem,
+        a: &mut [f64],
         transient: bool,
         cap_companions: Option<&[CapCompanion]>,
         gmin: f64,
     ) {
-        self.check_size(sys);
-        sys.a.clear();
+        assert_eq!(
+            a.len(),
+            self.pattern.len() + 1,
+            "slots do not match the program"
+        );
+        a.fill(0.0);
 
         // Convergence leak on every node.
         if gmin > 0.0 {
-            for &i in &self.node_rows {
-                sys.conductance(Some(i), None, gmin);
+            for &s in &self.stamps.node_diagonals {
+                a[s as usize] += gmin;
             }
         }
 
         let mut cap_index = 0usize;
-        for stamp in &self.stamps {
+        for stamp in &self.stamps.linear {
             match *stamp {
-                Stamp::Conductance { a, b, g } => sys.conductance(a, b, g),
-                Stamp::Capacitor { a, b } => {
+                Stamp::Conductance { slots, g } => conductance(a, slots, g),
+                Stamp::Capacitor { slots, .. } => {
                     if transient {
                         let comp = cap_companions
                             .expect("transient assembly requires capacitor companions")[cap_index];
-                        sys.conductance(a, b, comp.geq);
+                        conductance(a, slots, comp.geq);
                     }
                     cap_index += 1;
                 }
                 Stamp::Vsource {
-                    pos,
-                    neg,
-                    branch_row,
+                    slots: [pb, bp, nb, bn],
                     ..
-                } => sys.incidence(branch_row, pos, neg),
+                } => {
+                    a[pb as usize] += 1.0;
+                    a[bp as usize] += 1.0;
+                    a[nb as usize] -= 1.0;
+                    a[bn as usize] -= 1.0;
+                }
                 Stamp::Isource { .. } => {}
             }
         }
 
         // Channel leaks keep the matrix regular when a device is cut off.
         if gmin > 0.0 {
-            for m in &self.mosfets {
-                sys.conductance(m.d, m.s, gmin);
+            for m in &self.stamps.mosfets {
+                let [dd, ss, ds, sd, ..] = m.slots;
+                conductance(a, [dd, ss, ds, sd], gmin);
             }
         }
     }
 
-    /// Clears `sys.z` and stamps the sources: the capacitor companion
-    /// currents of a transient step and the independent sources at
-    /// `time`. Arguments as for [`assemble`].
+    /// Overwrites the right-hand side `z` with the sources: the
+    /// capacitor companion currents of a transient step and the
+    /// independent sources at `time`. Arguments as for [`assemble`].
     ///
     /// # Panics
     ///
-    /// As for [`StampProgram::stamp_conductances`].
+    /// Panics if `z` is not one value per row plus the discard row, or
+    /// if `cap_companions` is shorter than the number of capacitors when
+    /// a transient step is assembled.
     pub(crate) fn stamp_sources(
         &self,
-        sys: &mut MnaSystem,
+        z: &mut [f64],
         time: Option<f64>,
         cap_companions: Option<&[CapCompanion]>,
         source_scale: f64,
     ) {
-        self.check_size(sys);
-        sys.z.fill(0.0);
+        assert_eq!(z.len(), self.size() + 1, "rows do not match the program");
+        z.fill(0.0);
         let mut cap_index = 0usize;
-        for stamp in &self.stamps {
+        for stamp in &self.stamps.linear {
             match *stamp {
                 Stamp::Conductance { .. } => {}
-                Stamp::Capacitor { a, b } => {
+                Stamp::Capacitor { a, b, .. } => {
                     if time.is_some() {
                         let comp = cap_companions
                             .expect("transient assembly requires capacitor companions")[cap_index];
-                        sys.current(a, b, comp.jeq);
+                        current(z, a, b, comp.jeq);
                     }
                     cap_index += 1;
                 }
@@ -559,53 +585,52 @@ impl<'c> StampProgram<'c> {
                     ..
                 } => {
                     let t = time.unwrap_or(0.0);
-                    sys.z[branch_row] = source_scale * stimulus.value_at(t);
+                    z[branch_row as usize] = source_scale * stimulus.value_at(t);
                 }
-                Stamp::Isource { from, to, amps } => sys.current(from, to, source_scale * amps),
+                Stamp::Isource { from, to, amps } => current(z, from, to, source_scale * amps),
             }
         }
     }
 
-    fn check_size(&self, sys: &MnaSystem) {
-        let size = self.size();
-        assert!(
-            sys.a.n_rows() == size && sys.a.n_cols() == size && sys.z.len() == size,
-            "system does not match the program"
-        );
-    }
-
     /// Adds every MOSFET's linearization around the guess `x` (in this
-    /// program's row order) to `sys`.
-    pub(crate) fn stamp_nonlinear(&self, sys: &mut MnaSystem, x: &[f64]) {
+    /// program's row order, with `x[size]` the ground potential 0) to
+    /// the slot array `a` and the right-hand side `z`.
+    pub(crate) fn stamp_nonlinear(&self, a: &mut [f64], z: &mut [f64], x: &[f64]) {
         for &MosStamp {
             d,
             g,
             s,
+            slots: [dd, ss, ds, sd, dg, sg],
             sign,
             beta,
             vth,
             lambda,
-        } in &self.mosfets
+        } in &self.stamps.mosfets
         {
             // Work in a frame where the device is N-type: mirror all
             // potentials for PMOS. Conductance stamps are invariant under
             // mirroring; the companion current flips sign.
-            let vd = sign * row_voltage(x, d);
-            let vg = sign * row_voltage(x, g);
-            let vs = sign * row_voltage(x, s);
+            let vd = sign * x[d as usize];
+            let vg = sign * x[g as usize];
+            let vs = sign * x[s as usize];
             let reversed = vd < vs;
-            let (nd, ns, vdx, vsx) = if reversed {
-                (s, d, vs, vd)
+            // The conducting drain `nd` and source `ns`, and the slots of
+            // (nd, nd), (ns, ns), (nd, ns), (ns, nd), (nd, g), (ns, g).
+            let (nd, ns, vdx, vsx, [nn, mm, nm, mn, ng, mg]) = if reversed {
+                (s, d, vs, vd, [ss, dd, sd, ds, sg, dg])
             } else {
-                (d, s, vd, vs)
+                (d, s, vd, vs, [dd, ss, ds, sd, dg, sg])
             };
             let (op, _region) = eval_nmos(vdx, vg, vsx, beta, vth, lambda);
             debug_assert!(!op.reversed, "frame already oriented");
             // i(nd→ns) = gm·(vg − v_ns) + gds·(v_nd − v_ns) + sign·jeq
             let jeq = op.ids - op.gm * (vg - vsx) - op.gds * (vdx - vsx);
-            sys.conductance(nd, ns, op.gds);
-            sys.transconductance(nd, ns, g, ns, op.gm);
-            sys.current(nd, ns, sign * jeq);
+            conductance(a, [nn, mm, nm, mn], op.gds);
+            a[ng as usize] += op.gm;
+            a[nm as usize] -= op.gm;
+            a[mg as usize] -= op.gm;
+            a[mm as usize] += op.gm;
+            current(z, nd, ns, sign * jeq);
         }
     }
 }
@@ -622,12 +647,13 @@ impl<'c> StampProgram<'c> {
 ///   stepping uses values < 1).
 ///
 /// Compiles the circuit afresh; the solvers, which assemble repeatedly,
-/// keep one compiled program and one system instead.
+/// keep one compiled program and stamp its slots instead.
 ///
 /// # Panics
 ///
-/// Panics if `cap_companions` is shorter than the number of capacitors
-/// when a transient step is assembled.
+/// Panics if `x` has fewer values than the circuit has unknowns, or if
+/// `cap_companions` is shorter than the number of capacitors when a
+/// transient step is assembled.
 pub fn assemble(
     circuit: &Circuit,
     x: &[f64],
@@ -637,9 +663,10 @@ pub fn assemble(
     source_scale: f64,
 ) -> MnaSystem {
     let program = StampProgram::compile_natural(circuit);
-    let mut sys = program.system();
-    program.assemble_into(&mut sys, x, time, cap_companions, gmin, source_scale);
-    sys
+    let n = circuit.unknown_count();
+    let mut xg = vec![0.0; program.size() + 1];
+    xg[..n].copy_from_slice(&x[..n]);
+    program.assemble(&xg, time, cap_companions, gmin, source_scale)
 }
 
 #[cfg(test)]
@@ -744,10 +771,10 @@ mod tests {
 
     #[test]
     fn reused_system_matches_a_fresh_assembly() {
-        // Solving destroys the system; re-stamping it in place, in the
-        // fill-reducing row order, must give exactly the entries of a
-        // freshly allocated natural-order assembly, permuted, and every
-        // stamped entry must lie within the structural pattern.
+        // Assembling in the fill-reducing row order must give exactly the
+        // entries of the natural-order assembly, permuted. (Every stamped
+        // entry lies within the structural pattern: a slot lookup outside
+        // it panics.)
         let (nmos, pmos) = models_um350();
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
@@ -771,22 +798,17 @@ mod tests {
         let program = StampProgram::compile(&ckt);
         let rows = program.rows().to_vec();
         assert_ne!(rows, [0, 1, 2, 3, 4], "the order is not the natural one");
-        let pattern = program.pattern();
-        let mut sys = program.system();
-        let mut ordered = [0.0; 5];
+        let mut ordered = [0.0; 6];
         for x in [[3.3, 1.2, 0.4, -1e-4, 0.0], [3.3, 1.2, 2.9, -2e-4, 1e-6]] {
             for (&v, &r) in x.iter().zip(&rows) {
                 ordered[r] = v;
             }
-            program.assemble_into(&mut sys, &ordered, Some(1e-9), Some(&comps), 1e-12, 1.0);
+            let mut sys = program.assemble(&ordered, Some(1e-9), Some(&comps), 1e-12, 1.0);
             let fresh = assemble(&ckt, &x, Some(1e-9), Some(&comps), 1e-12, 1.0);
             for (i, &ri) in rows.iter().enumerate() {
                 assert_eq!(sys.z[ri].to_bits(), fresh.z[i].to_bits());
                 for (j, &rj) in rows.iter().enumerate() {
                     assert_eq!(sys.a[(ri, rj)].to_bits(), fresh.a[(i, j)].to_bits());
-                    if sys.a[(ri, rj)] != 0.0 {
-                        assert!(pattern[ri * 5 + rj], "entry ({i}, {j}) outside the pattern");
-                    }
                 }
             }
             let mut rhs = sys.z.clone();
