@@ -11,7 +11,7 @@
 use crate::circuit::{Circuit, NodeId};
 use crate::error::{Result, SimError};
 use crate::linalg::{vec_norm_inf, LuCounts, PivotedLu};
-use crate::mna::{node_voltage, CapCompanion, StampProgram};
+use crate::mna::{node_voltage, CapCompanion, CapStamp, StampProgram};
 
 /// Tolerances and iteration limits of the Newton solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,18 +119,17 @@ impl<'c> Newton<'c> {
         let lu = PivotedLu::new(program.pattern().clone());
         let slots = vec![0.0; program.pattern().len() + 1];
         let rows = vec![0.0; program.pattern().n() + 1];
-        let n = circuit.unknown_count();
         Newton {
             base_a: slots.clone(),
             base_z: rows.clone(),
             base_gmin: f64::NAN,
             base_geq: None,
             a: slots,
-            z: rows,
+            z: rows.clone(),
             program,
             lu,
-            x: vec![0.0; n + 1],
-            out: vec![0.0; n],
+            x: rows,
+            out: vec![0.0; circuit.unknown_count()],
             iterations: 0,
         }
     }
@@ -142,7 +141,8 @@ impl<'c> Newton<'c> {
 
     /// One full Newton solve from the guess `x0`.
     ///
-    /// `time`/`cap_companions` select the analysis context; see
+    /// `time`/`cap_companions` select the analysis context, with one
+    /// companion per entry of [`Newton::capacitors`]; see
     /// [`crate::mna::assemble`].
     ///
     /// # Panics
@@ -166,10 +166,8 @@ impl<'c> Newton<'c> {
         if self.out.is_empty() {
             return Ok(&self.out);
         }
+        self.load(x0);
         let rows = self.program.rows();
-        for (&v, &r) in x0.iter().zip(rows) {
-            self.x[r] = v;
-        }
         // A fixed-step transient keeps its conductances from step to step.
         let companions =
             time.map(|_| cap_companions.expect("transient assembly requires capacitor companions"));
@@ -225,7 +223,27 @@ impl<'c> Newton<'c> {
         })
     }
 
-    /// `true` when `base.a` already holds the conductances for `gmin`
+    /// Makes the natural-order `x0` the iterate.
+    pub(crate) fn load(&mut self, x0: &[f64]) {
+        for (&v, &r) in x0.iter().zip(self.program.rows()) {
+            self.x[r] = v;
+        }
+    }
+
+    /// The iterate in program row order, then the ground potential 0:
+    /// after a successful [`Newton::solve`], its solution.
+    pub(crate) fn iterate(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// The compiled capacitors, whose terminal rows index
+    /// [`Newton::iterate`] and whose companions a transient step passes in
+    /// this order.
+    pub(crate) fn capacitors(&self) -> &[CapStamp] {
+        self.program.capacitors()
+    }
+
+    /// `true` when `base_a` already holds the conductances for `gmin`
     /// and these transient `companions` (`None` in DC).
     fn base_conductances_match(&self, gmin: f64, companions: Option<&[CapCompanion]>) -> bool {
         self.base_gmin == gmin
@@ -611,5 +629,137 @@ mod tests {
         let ckt = Circuit::new();
         let op = solve_dc(&ckt, &SolverOptions::default()).unwrap();
         assert!(op.unknowns().is_empty());
+    }
+
+    /// A five-inverter ring with device capacitances, kicked by
+    /// alternating initial conditions.
+    fn inverter_ring() -> Circuit {
+        let (nmos, pmos) = models_um350();
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        ckt.add_vsource("VDD", vdd, Circuit::GROUND, Stimulus::Dc(3.3))
+            .unwrap();
+        for i in 0..5 {
+            let input = ckt.node(&format!("n{i}"));
+            let output = ckt.node(&format!("n{}", (i + 1) % 5));
+            ckt.add_mosfet_with_caps(
+                format!("MN{i}"),
+                output,
+                input,
+                Circuit::GROUND,
+                nmos.clone(),
+                1e-6,
+                0.35e-6,
+            )
+            .unwrap();
+            ckt.add_mosfet_with_caps(
+                format!("MP{i}"),
+                output,
+                input,
+                vdd,
+                pmos.clone(),
+                1.5e-6,
+                0.35e-6,
+            )
+            .unwrap();
+        }
+        for i in 0..5 {
+            let node = ckt.find_node(&format!("n{i}")).unwrap();
+            ckt.set_initial_condition(node, if i % 2 == 0 { 0.0 } else { 3.3 });
+        }
+        ckt
+    }
+
+    /// Newton's iteration on the natural, device-by-device system of
+    /// [`crate::mna::assemble`], every linear solve a fresh dense LU.
+    fn dense_newton(
+        ckt: &Circuit,
+        x0: &[f64],
+        time: f64,
+        comps: &[CapCompanion],
+        opts: &SolverOptions,
+    ) -> Vec<f64> {
+        let mut x = x0.to_vec();
+        for _ in 0..opts.max_iterations {
+            let mut sys = crate::mna::assemble(ckt, &x, Some(time), Some(comps), opts.gmin, 1.0);
+            let mut z = sys.z.clone();
+            sys.a.solve_in_place(&mut z).unwrap();
+            let mut max_delta = 0.0_f64;
+            for (xi, zi) in x.iter_mut().zip(&z) {
+                let delta = (zi - *xi).clamp(-opts.max_step, opts.max_step);
+                max_delta = max_delta.max(delta.abs());
+                *xi += delta;
+            }
+            if max_delta < opts.vtol + opts.reltol * vec_norm_inf(&x) {
+                return x;
+            }
+        }
+        panic!("dense Newton did not converge");
+    }
+
+    #[test]
+    fn reanalysis_mid_transient_matches_a_fresh_dense_solve() {
+        // Backward-Euler steps of 1 ps on the slot path, then one step of
+        // 1e-21 s: its companion conductances are 1e9 times larger, the
+        // reused pivots fail the threshold and the LU re-analyses. The
+        // step must still match Newton on the device-by-device system
+        // with a fresh dense LU per iteration.
+        let ckt = inverter_ring();
+        let opts = SolverOptions::default();
+        let mut newton = Newton::new(&ckt);
+        let mut x = initial_guess(&ckt);
+        let mut t = 0.0;
+        for (k, h) in [1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-21]
+            .into_iter()
+            .enumerate()
+        {
+            newton.load(&x);
+            let it = newton.iterate();
+            let comps: Vec<CapCompanion> = newton
+                .capacitors()
+                .iter()
+                .map(|c| {
+                    let geq = c.farads / h;
+                    let v = it[c.a as usize] - it[c.b as usize];
+                    CapCompanion { geq, jeq: -geq * v }
+                })
+                .collect();
+            let x_new = newton
+                .solve(&x, Some(t + h), Some(&comps), opts.gmin, 1.0, &opts)
+                .unwrap()
+                .to_vec();
+            let reanalyses = newton.counts().1.reanalyses;
+            if k < 5 {
+                assert_eq!(reanalyses, 0, "step {k} kept its pivots");
+            } else {
+                assert_eq!(reanalyses, 1, "the short step re-analyses");
+                let device_comps: Vec<CapCompanion> = ckt
+                    .devices()
+                    .iter()
+                    .filter_map(|d| match d {
+                        crate::devices::Device::Capacitor { a, b, farads, .. } => {
+                            let geq = farads / h;
+                            let v = node_voltage(&x, *a) - node_voltage(&x, *b);
+                            Some(CapCompanion { geq, jeq: -geq * v })
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let want = dense_newton(&ckt, &x, t + h, &device_comps, &opts);
+                // The node voltages, that is: the supply current of this step
+                // is the difference of companion currents about 1e10 times
+                // larger than it, so rounding leaves it only about 1e-5
+                // relative accuracy on either path.
+                let n_nodes = ckt.unknown_node_count();
+                for (i, (g, w)) in x_new[..n_nodes].iter().zip(&want).enumerate() {
+                    assert!(
+                        (g - w).abs() <= 1e-10 * w.abs().max(1.0),
+                        "unknown {i}: slot path {g:e} vs dense {w:e}"
+                    );
+                }
+            }
+            x = x_new;
+            t += h;
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! Unknown vector layout: node voltages for nodes `1..n` (ground excluded)
 //! followed by one branch current per voltage source, in device order.
 //! [`assemble`], [`MnaSystem`] and [`node_voltage`] use this natural
-//! layout.
+//! layout, one stamp per device.
 //!
 //! The solvers compile a circuit once per analysis into a stamp program:
 //! terminals are resolved to matrix rows and temperature-dependent device
@@ -14,21 +14,33 @@
 //! possible ([`crate::linalg`]). That order never leaves the Newton
 //! solver: it permutes the iterate on entry and back on return.
 //!
-//! Assembly is split by what changes when. The linear part is stamped
-//! into a base system: its conductances (gmin leaks, resistors, capacitor
-//! companion conductances, voltage-source incidences) only when gmin or
-//! the companion conductances change (three times in a fixed-step
-//! transient: its first two steps and its shortened last one), and its
-//! sources (companion currents, independent sources) once per Newton
-//! solve. Each iteration copies the base and
-//! adds only the MOSFET linearizations (Newton–Raphson relinearizes them
-//! around every guess `x`). Capacitors are stamped from caller-provided
-//! Norton companions so that DC (open), backward-Euler and trapezoidal
-//! integration all share this code path.
+//! The compiler also simulates each device of a set of parallel
+//! duplicates once. MOSFETs with the same drain, gate and source rows and
+//! bit-identical polarity, `β`, `Vth` and `λ` (the three PMOS of a NAND3
+//! pull-up) become one stamp of multiplicity `m`, whose current and
+//! conductances are `m` times one device's, so the conductance floor and
+//! the gmin channel leak keep their per-device meaning. Capacitors on the
+//! same unordered node pair become one of the summed capacitance; the
+//! transient integrates these merged capacitors.
+//!
+//! Every stamp is resolved at compile time to slots of the structural
+//! pattern ([`crate::linalg`]'s `SlotPattern`), so assembly is a list of
+//! indexed adds into the LU's own input array; stamps into the row or
+//! column of ground go to one discard slot. Assembly is split by what
+//! changes when. The linear part is stamped into base slots: its
+//! conductances (gmin leaks, resistors, capacitor companion conductances,
+//! voltage-source incidences) only when gmin or the companion
+//! conductances change (three times in a fixed-step transient: its first
+//! two steps and its last one, which absorbs the rounding remainder of
+//! the horizon), and its sources (companion currents, independent
+//! sources) once per Newton solve. Each iteration copies the base slots
+//! and adds only the MOSFET linearizations (Newton–Raphson relinearizes
+//! them around every guess `x`). Capacitors are stamped from
+//! caller-provided Norton companions so that DC (open), backward-Euler
+//! and trapezoidal integration all share this code path.
 //!
 //! Within each pass every matrix and right-hand-side entry receives its
-//! contributions in device order, whatever the row order, so an ordered
-//! assembly is exactly the natural one permuted.
+//! contributions in stamp order, whatever the row order.
 
 use crate::circuit::{Circuit, NodeId};
 use crate::devices::{eval_nmos, Device, MosPolarity, Stimulus};
@@ -222,11 +234,6 @@ enum Stamp<'c> {
         slots: [u32; 4],
         g: f64,
     },
-    Capacitor {
-        slots: [u32; 4],
-        a: u32,
-        b: u32,
-    },
     /// The slots of `(pos, branch)`, `(branch, pos)`, `(neg, branch)`
     /// and `(branch, neg)`.
     Vsource {
@@ -259,15 +266,72 @@ struct MosStamp {
     /// `Vth(T)`.
     vth: f64,
     lambda: f64,
+    /// Devices merged into this one: identical, in parallel.
+    m: f64,
+}
+
+impl MosStamp {
+    /// Equal keys mark parallel duplicates: the same terminals, polarity
+    /// and constants, bit for bit.
+    fn key(&self) -> (u32, u32, u32, [u64; 4]) {
+        let bits = [self.sign, self.beta, self.vth, self.lambda].map(f64::to_bits);
+        (self.d, self.g, self.s, bits)
+    }
+}
+
+/// One capacitor of a [`StampProgram`]: in a compiled solver program,
+/// every capacitor between one pair of nodes merged into one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CapStamp {
+    /// Rows of the terminals (`size` for ground).
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+    pub(crate) farads: f64,
+    /// The slots of `(a, a)`, `(b, b)`, `(a, b)` and `(b, a)`.
+    slots: [u32; 4],
+}
+
+impl CapStamp {
+    /// The unordered node pair.
+    fn key(&self) -> (u32, u32) {
+        (self.a.min(self.b), self.a.max(self.b))
+    }
 }
 
 /// The devices of a [`StampProgram`], lowered to slots and rows.
 #[derive(Debug, Clone)]
 struct Stamps<'c> {
+    /// Resistors and sources, in device order.
     linear: Vec<Stamp<'c>>,
+    caps: Vec<CapStamp>,
     mosfets: Vec<MosStamp>,
     /// Diagonal slots of the node unknowns, which carry the gmin leaks.
     node_diagonals: Vec<u32>,
+}
+
+impl Stamps<'_> {
+    /// Merges parallel duplicates: MOSFETs of equal [`MosStamp::key`]
+    /// into one of multiplicity `m`, capacitors on the same node pair
+    /// into one of the summed capacitance. Both lists end up sorted by
+    /// their rows.
+    fn merge_parallel(&mut self) {
+        self.mosfets.sort_by_key(MosStamp::key);
+        self.mosfets.dedup_by(|dup, kept| {
+            let same = dup.key() == kept.key();
+            if same {
+                kept.m += dup.m;
+            }
+            same
+        });
+        self.caps.sort_by_key(CapStamp::key);
+        self.caps.dedup_by(|dup, kept| {
+            let same = dup.key() == kept.key();
+            if same {
+                kept.farads += dup.farads;
+            }
+            same
+        });
+    }
 }
 
 /// A circuit compiled for repeated MNA assembly at its temperature.
@@ -299,8 +363,11 @@ pub(crate) struct StampProgram<'c> {
 }
 
 impl<'c> StampProgram<'c> {
-    /// Compiles `circuit` at its current temperature, with its rows in
-    /// greedy minimum-degree order.
+    /// Compiles `circuit` at its current temperature for the solver: its
+    /// rows in greedy minimum-degree order, its parallel duplicates
+    /// merged (MOSFETs with the same terminals, polarity and constants
+    /// into one of multiplicity `m`; capacitors on the same node pair
+    /// into one of the summed capacitance), its capacitors in row order.
     ///
     /// # Panics
     ///
@@ -309,13 +376,13 @@ impl<'c> StampProgram<'c> {
         StampProgram::build(circuit, true)
     }
 
-    /// Compiles `circuit` with its rows in the natural layout of
-    /// [`MnaSystem`] (node voltages, then branch currents).
+    /// Compiles `circuit` device by device, with its rows in the natural
+    /// layout of [`MnaSystem`] (node voltages, then branch currents).
     fn compile_natural(circuit: &'c Circuit) -> Self {
         StampProgram::build(circuit, false)
     }
 
-    fn build(circuit: &'c Circuit, ordered: bool) -> Self {
+    fn build(circuit: &'c Circuit, reduce: bool) -> Self {
         let size = circuit.unknown_count().max(1);
         let natural: Vec<usize> = (0..size).collect();
         let mut pattern = vec![false; size * size];
@@ -325,7 +392,7 @@ impl<'c> StampProgram<'c> {
             }
             0
         });
-        let rows = if ordered {
+        let rows = if reduce {
             let mut rows = vec![0; size];
             for (k, u) in min_degree_order(size, &pattern).into_iter().enumerate() {
                 rows[u] = k;
@@ -339,8 +406,12 @@ impl<'c> StampProgram<'c> {
             ordered_pattern[rows[pos / size] * size + rows[pos % size]] = true;
         }
         let pattern = SlotPattern::new(size, &ordered_pattern);
+        let mut stamps = StampProgram::lower(circuit, &rows, |r, c| pattern.slot(r, c));
+        if reduce {
+            stamps.merge_parallel();
+        }
         StampProgram {
-            stamps: StampProgram::lower(circuit, &rows, |r, c| pattern.slot(r, c)),
+            stamps,
             pattern,
             rows,
             n_nodes: circuit.unknown_node_count(),
@@ -371,6 +442,7 @@ impl<'c> StampProgram<'c> {
         };
         let mut stamps = Stamps {
             linear: Vec::new(),
+            caps: Vec::new(),
             mosfets: Vec::new(),
             node_diagonals: Vec::new(),
         };
@@ -381,12 +453,13 @@ impl<'c> StampProgram<'c> {
                     slots: pair_slots(&mut slot, row(*a), row(*b)),
                     g: 1.0 / ohms,
                 }),
-                Device::Capacitor { a, b, .. } => {
+                Device::Capacitor { a, b, farads, .. } => {
                     let (a, b) = (row(*a), row(*b));
-                    stamps.linear.push(Stamp::Capacitor {
-                        slots: pair_slots(&mut slot, a, b),
+                    stamps.caps.push(CapStamp {
                         a: a as u32,
                         b: b as u32,
+                        farads: *farads,
+                        slots: pair_slots(&mut slot, a, b),
                     });
                 }
                 Device::Vsource {
@@ -429,6 +502,7 @@ impl<'c> StampProgram<'c> {
                         beta: model.kp_at(temp) * w / l,
                         vth: model.vth(temp),
                         lambda: model.lambda,
+                        m: 1.0,
                     });
                 }
             }
@@ -484,15 +558,33 @@ impl<'c> StampProgram<'c> {
         sys
     }
 
+    /// The capacitors, whose companions `cap_companions` lists in this
+    /// order.
+    pub(crate) fn capacitors(&self) -> &[CapStamp] {
+        &self.stamps.caps
+    }
+
+    /// The companions of a transient step, one per capacitor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap_companions` is `None` or shorter than the list of
+    /// capacitors.
+    fn companions<'a>(&self, cap_companions: Option<&'a [CapCompanion]>) -> &'a [CapCompanion] {
+        &cap_companions.expect("transient assembly requires capacitor companions")
+            [..self.stamps.caps.len()]
+    }
+
     /// Overwrites the slot array `a` with the conductances that do not
     /// depend on the iterate: gmin node and channel leaks, resistors,
-    /// the capacitor companions of a `transient` step and the
-    /// voltage-source incidences. Arguments as for [`assemble`].
+    /// voltage-source incidences and the capacitor companions of a
+    /// `transient` step. Arguments as for [`assemble`], with one
+    /// companion per entry of [`StampProgram::capacitors`].
     ///
     /// # Panics
     ///
     /// Panics if `a` is not one value per pattern slot plus the discard
-    /// slot, or if `cap_companions` is shorter than the number of
+    /// slot, or if `cap_companions` is shorter than the list of
     /// capacitors when a transient step is assembled.
     pub(crate) fn stamp_conductances(
         &self,
@@ -515,18 +607,9 @@ impl<'c> StampProgram<'c> {
             }
         }
 
-        let mut cap_index = 0usize;
         for stamp in &self.stamps.linear {
             match *stamp {
                 Stamp::Conductance { slots, g } => conductance(a, slots, g),
-                Stamp::Capacitor { slots, .. } => {
-                    if transient {
-                        let comp = cap_companions
-                            .expect("transient assembly requires capacitor companions")[cap_index];
-                        conductance(a, slots, comp.geq);
-                    }
-                    cap_index += 1;
-                }
                 Stamp::Vsource {
                     slots: [pb, bp, nb, bn],
                     ..
@@ -540,24 +623,32 @@ impl<'c> StampProgram<'c> {
             }
         }
 
+        if transient {
+            let comps = self.companions(cap_companions);
+            for (cap, comp) in self.stamps.caps.iter().zip(comps) {
+                conductance(a, cap.slots, comp.geq);
+            }
+        }
+
         // Channel leaks keep the matrix regular when a device is cut off.
         if gmin > 0.0 {
-            for m in &self.stamps.mosfets {
-                let [dd, ss, ds, sd, ..] = m.slots;
-                conductance(a, [dd, ss, ds, sd], gmin);
+            for mos in &self.stamps.mosfets {
+                let [dd, ss, ds, sd, ..] = mos.slots;
+                conductance(a, [dd, ss, ds, sd], mos.m * gmin);
             }
         }
     }
 
     /// Overwrites the right-hand side `z` with the sources: the
-    /// capacitor companion currents of a transient step and the
-    /// independent sources at `time`. Arguments as for [`assemble`].
+    /// independent sources at `time` and the capacitor companion
+    /// currents of a transient step. Arguments as for
+    /// [`StampProgram::stamp_conductances`].
     ///
     /// # Panics
     ///
     /// Panics if `z` is not one value per row plus the discard row, or
-    /// if `cap_companions` is shorter than the number of capacitors when
-    /// a transient step is assembled.
+    /// if `cap_companions` is shorter than the list of capacitors when a
+    /// transient step is assembled.
     pub(crate) fn stamp_sources(
         &self,
         z: &mut [f64],
@@ -567,18 +658,9 @@ impl<'c> StampProgram<'c> {
     ) {
         assert_eq!(z.len(), self.size() + 1, "rows do not match the program");
         z.fill(0.0);
-        let mut cap_index = 0usize;
         for stamp in &self.stamps.linear {
             match *stamp {
                 Stamp::Conductance { .. } => {}
-                Stamp::Capacitor { a, b, .. } => {
-                    if time.is_some() {
-                        let comp = cap_companions
-                            .expect("transient assembly requires capacitor companions")[cap_index];
-                        current(z, a, b, comp.jeq);
-                    }
-                    cap_index += 1;
-                }
                 Stamp::Vsource {
                     branch_row,
                     stimulus,
@@ -588,6 +670,12 @@ impl<'c> StampProgram<'c> {
                     z[branch_row as usize] = source_scale * stimulus.value_at(t);
                 }
                 Stamp::Isource { from, to, amps } => current(z, from, to, source_scale * amps),
+            }
+        }
+        if time.is_some() {
+            let comps = self.companions(cap_companions);
+            for (cap, comp) in self.stamps.caps.iter().zip(comps) {
+                current(z, cap.a, cap.b, comp.jeq);
             }
         }
     }
@@ -605,6 +693,7 @@ impl<'c> StampProgram<'c> {
             beta,
             vth,
             lambda,
+            m,
         } in &self.stamps.mosfets
         {
             // Work in a frame where the device is N-type: mirror all
@@ -623,13 +712,15 @@ impl<'c> StampProgram<'c> {
             };
             let (op, _region) = eval_nmos(vdx, vg, vsx, beta, vth, lambda);
             debug_assert!(!op.reversed, "frame already oriented");
+            // `m` devices in parallel, each with its own conductance floor.
+            let (ids, gm, gds) = (m * op.ids, m * op.gm, m * op.gds);
             // i(nd→ns) = gm·(vg − v_ns) + gds·(v_nd − v_ns) + sign·jeq
-            let jeq = op.ids - op.gm * (vg - vsx) - op.gds * (vdx - vsx);
-            conductance(a, [nn, mm, nm, mn], op.gds);
-            a[ng as usize] += op.gm;
-            a[nm as usize] -= op.gm;
-            a[mg as usize] -= op.gm;
-            a[mm as usize] += op.gm;
+            let jeq = ids - gm * (vg - vsx) - gds * (vdx - vsx);
+            conductance(a, [nn, mm, nm, mn], gds);
+            a[ng as usize] += gm;
+            a[nm as usize] -= gm;
+            a[mg as usize] -= gm;
+            a[mm as usize] += gm;
             current(z, nd, ns, sign * jeq);
         }
     }
@@ -770,49 +861,268 @@ mod tests {
     }
 
     #[test]
-    fn reused_system_matches_a_fresh_assembly() {
-        // Assembling in the fill-reducing row order must give exactly the
-        // entries of the natural-order assembly, permuted. (Every stamped
-        // entry lies within the structural pattern: a slot lookup outside
-        // it panics.)
-        let (nmos, pmos) = models_um350();
+    fn parallel_duplicates_merge_at_compile() {
+        // A NAND3 pull-up: three identical PMOS on the same (d, g, s)
+        // rows merge into one of multiplicity 3; a fourth one of another
+        // width and a fifth with drain and source swapped do not merge.
+        // Capacitors merge by unordered node pair, farads summed.
+        let (_, pmos) = models_um350();
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
-        let inp = ckt.node("in");
+        let a = ckt.node("a");
         let out = ckt.node("out");
         ckt.add_vsource("VDD", vdd, Circuit::GROUND, Stimulus::Dc(3.3))
             .unwrap();
-        ckt.add_vsource("VIN", inp, Circuit::GROUND, Stimulus::Dc(1.2))
+        for k in 0..3 {
+            ckt.add_mosfet(format!("MP{k}"), out, a, vdd, pmos.clone(), 1.5e-6, 0.35e-6)
+                .unwrap();
+        }
+        ckt.add_mosfet("MW", out, a, vdd, pmos.clone(), 3e-6, 0.35e-6)
             .unwrap();
-        ckt.add_mosfet_with_caps("MN", out, inp, Circuit::GROUND, nmos, 1e-6, 0.35e-6)
+        ckt.add_mosfet("MS", vdd, a, out, pmos, 1.5e-6, 0.35e-6)
             .unwrap();
-        ckt.add_mosfet_with_caps("MP", out, inp, vdd, pmos, 2e-6, 0.35e-6)
+        ckt.add_capacitor("C1", a, out, 1e-15).unwrap();
+        ckt.add_capacitor("C2", out, a, 2e-15).unwrap();
+        ckt.add_capacitor("C3", out, Circuit::GROUND, 4e-15)
             .unwrap();
-        ckt.set_temperature(85.0);
-        let comps: Vec<CapCompanion> = (0..6)
-            .map(|k| CapCompanion {
-                geq: 1e-4 * (k + 1) as f64,
-                jeq: -3e-6 * k as f64,
-            })
-            .collect();
         let program = StampProgram::compile(&ckt);
-        let rows = program.rows().to_vec();
-        assert_ne!(rows, [0, 1, 2, 3, 4], "the order is not the natural one");
-        let mut ordered = [0.0; 6];
-        for x in [[3.3, 1.2, 0.4, -1e-4, 0.0], [3.3, 1.2, 2.9, -2e-4, 1e-6]] {
-            for (&v, &r) in x.iter().zip(&rows) {
-                ordered[r] = v;
-            }
-            let mut sys = program.assemble(&ordered, Some(1e-9), Some(&comps), 1e-12, 1.0);
-            let fresh = assemble(&ckt, &x, Some(1e-9), Some(&comps), 1e-12, 1.0);
-            for (i, &ri) in rows.iter().enumerate() {
-                assert_eq!(sys.z[ri].to_bits(), fresh.z[i].to_bits());
-                for (j, &rj) in rows.iter().enumerate() {
-                    assert_eq!(sys.a[(ri, rj)].to_bits(), fresh.a[(i, j)].to_bits());
+        let mut m: Vec<f64> = program.stamps.mosfets.iter().map(|s| s.m).collect();
+        m.sort_by(f64::total_cmp);
+        assert_eq!(m, [1.0, 1.0, 3.0]);
+        let mut farads: Vec<f64> = program.capacitors().iter().map(|c| c.farads).collect();
+        farads.sort_by(f64::total_cmp);
+        assert_eq!(farads, [1e-15 + 2e-15, 4e-15]);
+        // The device-by-device program keeps every device.
+        let natural = StampProgram::compile_natural(&ckt);
+        assert_eq!(natural.stamps.mosfets.len(), 5);
+        assert_eq!(natural.capacitors().len(), 3);
+    }
+
+    mod reduction {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A random circuit: `nodes` nodes (0 is ground) and a supply on
+        /// node 1.
+        struct Spec {
+            nodes: usize,
+            /// `(d, g, s, pmos, width)`, each one device.
+            mosfets: Vec<(usize, usize, usize, bool, f64)>,
+            /// `(a, b, farads)`.
+            caps: Vec<(usize, usize, f64)>,
+            /// `(a, b, ohms)`.
+            resistors: Vec<(usize, usize, f64)>,
+        }
+
+        impl Spec {
+            /// The circuit with the supply and the devices `keep` selects.
+            fn circuit(&self, keep: impl Fn(usize) -> bool) -> Circuit {
+                let (nmos, pmos) = models_um350();
+                let mut ckt = Circuit::new();
+                let nodes: Vec<NodeId> = (0..=self.nodes)
+                    .map(|i| {
+                        if i == 0 {
+                            Circuit::GROUND
+                        } else {
+                            ckt.node(&format!("n{i}"))
+                        }
+                    })
+                    .collect();
+                ckt.add_vsource("VDD", nodes[1], Circuit::GROUND, Stimulus::Dc(3.3))
+                    .unwrap();
+                let mut k = 0;
+                for (i, &(d, g, s, p, w)) in self.mosfets.iter().enumerate() {
+                    if keep(k) {
+                        let model = if p { pmos.clone() } else { nmos.clone() };
+                        ckt.add_mosfet(
+                            format!("M{i}"),
+                            nodes[d],
+                            nodes[g],
+                            nodes[s],
+                            model,
+                            w,
+                            0.35e-6,
+                        )
+                        .unwrap();
+                    }
+                    k += 1;
                 }
+                for (i, &(a, b, c)) in self.caps.iter().enumerate() {
+                    if keep(k) {
+                        ckt.add_capacitor(format!("C{i}"), nodes[a], nodes[b], c)
+                            .unwrap();
+                    }
+                    k += 1;
+                }
+                for (i, &(a, b, r)) in self.resistors.iter().enumerate() {
+                    if keep(k) {
+                        ckt.add_resistor(format!("R{i}"), nodes[a], nodes[b], r)
+                            .unwrap();
+                    }
+                    k += 1;
+                }
+                ckt
             }
-            let mut rhs = sys.z.clone();
-            sys.a.solve_in_place(&mut rhs).unwrap();
+
+            fn devices(&self) -> usize {
+                self.mosfets.len() + self.caps.len() + self.resistors.len()
+            }
+        }
+
+        /// Per-capacitor companions with `geq = k·C` and
+        /// `jeq = C·(q(a) − q(b))`: what a transient step builds when
+        /// every capacitor on a node pair shares one voltage history, so
+        /// that merged and separate capacitors are the same system.
+        fn companions(caps: impl Iterator<Item = (f64, f64, f64)>, k: f64) -> Vec<CapCompanion> {
+            caps.map(|(c, qa, qb)| CapCompanion {
+                geq: k * c,
+                jeq: c * (qa - qb),
+            })
+            .collect()
+        }
+
+        /// `|got − want| ≤ 1e-12·scale`, entry by entry.
+        fn check_close(
+            got: &[f64],
+            want: &[f64],
+            scale: &[f64],
+            what: &str,
+        ) -> std::result::Result<(), TestCaseError> {
+            for (i, ((&g, &w), &s)) in got.iter().zip(want).zip(scale).enumerate() {
+                prop_assert!(
+                    (g - w).abs() <= 1e-12 * s,
+                    "{what}[{i}]: reduced {g:e} vs device-by-device {w:e} (scale {s:e})"
+                );
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+            #[test]
+            fn reduced_program_assembles_the_device_by_device_system(
+                nodes in 2usize..=5,
+                mos in prop::collection::vec(
+                    ((0usize..6, 0usize..6, 0usize..6), any::<bool>(), 0usize..2, 1usize..4, 0usize..4),
+                    1..6,
+                ),
+                caps in prop::collection::vec((0usize..6, 0usize..6, 0.1f64..10.0, 1usize..3, any::<bool>()), 0..8),
+                resistors in prop::collection::vec((0usize..6, 0usize..6, 1e3f64..1e5), 0..3),
+                volts in prop::collection::vec(-0.5f64..4.0, 6),
+                q in prop::collection::vec(-1.0f64..1.0, 6),
+                k in 1e12f64..5e12,
+            ) {
+                // Devices with duplicates (`copies`), near-duplicates that
+                // must stay apart (another width, drain and source
+                // swapped), gates tied to drains, ground terminals, and
+                // parallel and anti-parallel capacitors. No device has both
+                // terminals of a branch on one node: its stamps would cancel
+                // each other, and the rounding of that cancellation is not
+                // what this test measures.
+                let at = |i: usize| i % (nodes + 1);
+                let apart = |a: usize, b: usize| if a == b { (a, at(b + 1)) } else { (a, b) };
+                let mut spec = Spec { nodes, mosfets: Vec::new(), caps: Vec::new(), resistors: Vec::new() };
+                for &((d, g, s), p, w, copies, variant) in &mos {
+                    let (d, s) = apart(at(d), at(s));
+                    let g = if variant == 3 { d } else { at(g) };
+                    let w = [1e-6, 1.5e-6][w];
+                    for _ in 0..copies {
+                        spec.mosfets.push((d, g, s, p, w));
+                    }
+                    match variant {
+                        1 => spec.mosfets.push((d, g, s, p, 2.0 * w)),
+                        2 => spec.mosfets.push((s, g, d, p, w)),
+                        _ => {}
+                    }
+                }
+                for &(a, b, c, copies, anti) in &caps {
+                    let (a, b) = apart(at(a), at(b));
+                    for _ in 0..copies {
+                        spec.caps.push((a, b, c * 1e-15));
+                    }
+                    if anti {
+                        spec.caps.push((b, a, 0.5 * c * 1e-15));
+                    }
+                }
+                spec.resistors = resistors.iter().map(|&(a, b, r)| { let (a, b) = apart(at(a), at(b)); (a, b, r) }).collect();
+
+                let ckt = spec.circuit(|_| true);
+                let n = ckt.unknown_count();
+                let mut x = volts[..nodes].to_vec();
+                x.push(-2e-4);
+                // The potential q of each node for the companion currents.
+                let q_of = |node: usize| if node == 0 { 0.0 } else { q[node - 1] };
+
+                let program = StampProgram::compile(&ckt);
+                let rows = program.rows().to_vec();
+                let mut natural_of = vec![None; n + 1];
+                let mut ordered = vec![0.0; n + 1];
+                for (i, &r) in rows.iter().enumerate() {
+                    natural_of[r] = Some(i);
+                    ordered[r] = x[i];
+                }
+                let q_row = |r: u32| natural_of[r as usize].map_or(0.0, |i| q_of(i + 1));
+                let reduced_comps = companions(
+                    program.capacitors().iter().map(|c| (c.farads, q_row(c.a), q_row(c.b))),
+                    k,
+                );
+                let device_comps = |s: &Spec, keep: &dyn Fn(usize) -> bool| {
+                    let base = s.mosfets.len();
+                    companions(
+                        s.caps
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| keep(base + i))
+                            .map(|(_, &(a, b, c))| (c, q_of(a), q_of(b))),
+                        k,
+                    )
+                };
+                let reduced = program.assemble(&ordered, Some(1e-9), Some(&reduced_comps), 1e-12, 1.0);
+                let all = device_comps(&spec, &|_| true);
+                let want = assemble(&ckt, &x, Some(1e-9), Some(&all), 1e-12, 1.0);
+
+                // The error scale of each entry: the sum of its
+                // contributions' magnitudes, device by device.
+                let mut a_scale = vec![0.0; n * n];
+                let mut z_scale = vec![0.0; n];
+                for dev in 0..spec.devices() {
+                    let keep = |i: usize| i == dev;
+                    let one = assemble(&spec.circuit(keep), &x, Some(1e-9), Some(&device_comps(&spec, &keep)), 1e-12, 1.0);
+                    for (i, s) in a_scale.iter_mut().enumerate() {
+                        *s += one.a[(i / n, i % n)].abs();
+                    }
+                    for (s, z) in z_scale.iter_mut().zip(&one.z) {
+                        *s += z.abs();
+                    }
+                }
+
+                let mut got_a = vec![0.0; n * n];
+                let mut want_a = vec![0.0; n * n];
+                let mut got_z = vec![0.0; n];
+                for i in 0..n {
+                    got_z[i] = reduced.z[rows[i]];
+                    for j in 0..n {
+                        got_a[i * n + j] = reduced.a[(rows[i], rows[j])];
+                        want_a[i * n + j] = want.a[(i, j)];
+                    }
+                }
+                check_close(&got_a, &want_a, &a_scale, "A")?;
+                check_close(&got_z, &want.z, &z_scale, "z")?;
+
+                // Exact duplicates merged, near-duplicates kept apart.
+                let mut distinct_mos: Vec<_> = spec.mosfets.iter()
+                    .map(|&(d, g, s, p, w)| (d, g, s, p, w.to_bits()))
+                    .collect();
+                distinct_mos.sort_unstable();
+                distinct_mos.dedup();
+                prop_assert_eq!(program.stamps.mosfets.len(), distinct_mos.len());
+                let mut distinct_caps: Vec<_> = spec.caps.iter()
+                    .map(|&(a, b, _)| (a.min(b), a.max(b)))
+                    .collect();
+                distinct_caps.sort_unstable();
+                distinct_caps.dedup();
+                prop_assert_eq!(program.capacitors().len(), distinct_caps.len());
+            }
         }
     }
 

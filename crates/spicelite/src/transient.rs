@@ -8,11 +8,10 @@
 //! (`uic`, the usual way — SPICE's `.tran ... UIC`) or from a DC
 //! operating point.
 
-use crate::circuit::{Circuit, NodeId};
+use crate::circuit::Circuit;
 use crate::dc::{initial_guess, Newton, SolverOptions};
-use crate::devices::Device;
 use crate::error::{Result, SimError};
-use crate::mna::{node_voltage, CapCompanion};
+use crate::mna::{CapCompanion, CapStamp};
 use crate::waveform::Waveform;
 
 /// Numerical integration scheme for capacitor currents.
@@ -137,17 +136,6 @@ struct CapState {
     i: f64,
 }
 
-fn capacitor_terminals(circuit: &Circuit) -> Vec<(NodeId, NodeId, f64)> {
-    circuit
-        .devices()
-        .iter()
-        .filter_map(|d| match d {
-            Device::Capacitor { a, b, farads, .. } => Some((*a, *b, *farads)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Runs a transient analysis and records every accepted time point.
 ///
 /// # Errors
@@ -198,7 +186,6 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
         opts.dt_min > 0.0 && opts.dt_min <= opts.dt && opts.dt <= opts.dt_max,
         "need 0 < dt_min <= dt <= dt_max"
     );
-    let caps = capacitor_terminals(circuit);
     // One compiled circuit and one Newton workspace for the whole run.
     let mut newton = Newton::new(circuit);
 
@@ -209,10 +196,15 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
         newton.operating_point(initial_guess(circuit), &opts.solver)?
     };
 
+    // The compiled capacitors (parallel ones merged) and their state, read
+    // off the iterate in the program's row order.
+    newton.load(&x);
+    let caps: Vec<CapStamp> = newton.capacitors().to_vec();
+    let across = |x: &[f64], cap: &CapStamp| x[cap.a as usize] - x[cap.b as usize];
     let mut cap_state: Vec<CapState> = caps
         .iter()
-        .map(|&(a, b, _)| CapState {
-            v: node_voltage(&x, a) - node_voltage(&x, b),
+        .map(|cap| CapState {
+            v: across(newton.iterate(), cap),
             i: 0.0,
         })
         .collect();
@@ -228,9 +220,14 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
     let mut rejected: u64 = 0;
 
     while t < opts.t_stop {
-        if t + h > opts.t_stop {
+        // A step that would leave less than `dt_min` before `t_stop`
+        // absorbs the remainder and ends exactly there.
+        let t_next = if opts.t_stop - (t + h) < opts.dt_min {
             h = opts.t_stop - t;
-        }
+            opts.t_stop
+        } else {
+            t + h
+        };
         attempts += 1;
         if attempts > opts.max_steps {
             return Err(SimError::ConvergenceTimeout {
@@ -247,17 +244,17 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
         } else {
             opts.integrator
         };
-        for ((comp, &(_, _, c)), st) in companions.iter_mut().zip(&caps).zip(&cap_state) {
+        for ((comp, cap), st) in companions.iter_mut().zip(&caps).zip(&cap_state) {
             *comp = match scheme {
                 Integrator::BackwardEuler => {
-                    let geq = c / h;
+                    let geq = cap.farads / h;
                     CapCompanion {
                         geq,
                         jeq: -geq * st.v,
                     }
                 }
                 Integrator::Trapezoidal => {
-                    let geq = 2.0 * c / h;
+                    let geq = 2.0 * cap.farads / h;
                     CapCompanion {
                         geq,
                         jeq: -geq * st.v - st.i,
@@ -266,23 +263,26 @@ fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform
             };
         }
 
-        match newton.solve(
-            &x,
-            Some(t + h),
-            Some(&companions),
-            opts.solver.gmin,
-            1.0,
-            &opts.solver,
-        ) {
-            Ok(x_new) => {
+        let solved = newton
+            .solve(
+                &x,
+                Some(t_next),
+                Some(&companions),
+                opts.solver.gmin,
+                1.0,
+                &opts.solver,
+            )
+            .map(|x_new| x.copy_from_slice(x_new));
+        match solved {
+            Ok(()) => {
                 // Accept: update capacitor memory.
-                for ((st, comp), &(a, b, _)) in cap_state.iter_mut().zip(&companions).zip(&caps) {
-                    let v_new = node_voltage(x_new, a) - node_voltage(x_new, b);
+                let x_new = newton.iterate();
+                for ((st, comp), cap) in cap_state.iter_mut().zip(&companions).zip(&caps) {
+                    let v_new = across(x_new, cap);
                     st.i = comp.geq * v_new + comp.jeq;
                     st.v = v_new;
                 }
-                x.copy_from_slice(x_new);
-                t += h;
+                t = t_next;
                 wave.push(t, &x);
                 easy_streak += 1;
                 if easy_streak >= 4 && h < opts.dt_max {
@@ -439,6 +439,36 @@ mod tests {
         assert!((v_tau - (-1.0_f64).exp()).abs() < 5e-3);
     }
 
+    #[test]
+    fn fixed_step_runs_end_exactly_at_t_stop() {
+        // Accumulating `t += dt` falls short of `t_stop = 4000·dt` by a
+        // rounding error; a horizon of 10.5 steps needs a half step; one
+        // of 10 steps plus half of `dt_min` must not leave a sliver.
+        let ckt = rc_circuit(1e3, 1e-12, 1.0);
+        let dt = 1.4e-12;
+        for (t_stop, steps) in [
+            (4000.0 * dt, 4000),
+            (10.5 * dt, 11),
+            (10.0 * dt + 0.5e-6 * dt, 10),
+        ] {
+            let opts = TranOptions::to_time(t_stop).with_uic().with_steps(dt, dt);
+            let wave = run_transient(&ckt, &opts).unwrap();
+            let times = wave.times();
+            assert_eq!(*times.last().unwrap(), t_stop, "ends at t_stop");
+            for w in times.windows(2) {
+                assert!(
+                    w[1] - w[0] >= opts.dt_min,
+                    "interval {:e} at {:e}",
+                    w[1] - w[0],
+                    w[0]
+                );
+            }
+            let stats = wave.stats();
+            assert_eq!(stats.rejected_steps, 0);
+            assert_eq!(stats.accepted_steps, steps, "t_stop {t_stop:e}");
+            assert_eq!(wave.len() as u64, stats.accepted_steps + 1);
+        }
+    }
     #[test]
     fn step_budget_times_out_typed() {
         // 5000 steps are needed (5 µs at 1 ns); a 100-step budget must

@@ -321,9 +321,10 @@ mod tests {
 
     #[test]
     fn solver_counts_are_deterministic() {
-        // 5×INV at 27 °C, the Fig. 3 sizing: one horizon of 4001 accepted
-        // steps at ~2.25 Newton iterations each, one pivot re-analysis
-        // after the first analysis, 35 of the 7 × 7 factor entries stored.
+        // 5×INV at 27 °C, the Fig. 3 sizing: one horizon of 4000 accepted
+        // steps (the last one ends exactly at the horizon) at ~2.25 Newton
+        // iterations each, no pivot re-analysis after the first analysis,
+        // 32 of the 7 × 7 factor entries stored.
         let r = ring(GateKind::Inv, 5, 1.5);
         let first = r.measure_period_with_stats(27.0).unwrap();
         assert_eq!(r.measure_period_with_stats(27.0).unwrap(), first);
@@ -332,12 +333,12 @@ mod tests {
         assert_eq!(
             first.stats,
             TranStats {
-                accepted_steps: 4001,
+                accepted_steps: 4000,
                 rejected_steps: 0,
-                newton_iterations: 9023,
-                factorizations: 9024,
-                reanalyses: 1,
-                factor_nonzeros: 35,
+                newton_iterations: 9021,
+                factorizations: 9021,
+                reanalyses: 0,
+                factor_nonzeros: 32,
             }
         );
         let s = first.stats;
