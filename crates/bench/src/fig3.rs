@@ -112,21 +112,26 @@ pub fn run(out_dir: &Path) -> String {
     // the analytical ranking is used the way such models are used in
     // practice: as a *candidate generator*. The top analytical mixes are
     // re-simulated at transistor level and the simulated winner must
-    // beat the simulated 5xINV baseline.
-    let shortlist: Vec<&CellConfig> = full.iter().take(8).map(|p| &p.config).collect();
+    // beat the simulated 5xINV baseline. The nine curves are independent,
+    // so they run on every core; results come back in shortlist order.
+    let mut simulated: Vec<&CellConfig> = full.iter().take(8).map(|p| &p.config).collect();
+    let inv_config = CellConfig::uniform(GateKind::Inv, 5).expect("config");
+    simulated.push(&inv_config);
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut sim_nl = dst::run_indexed(simulated.len(), jobs, |i| {
+        transistor_level_nl(simulated[i], 9)
+    });
+    let inv_sim_nl = sim_nl.pop().expect("baseline simulated");
     let mut sim_rows = Vec::new();
     let mut best_sim_nl = f64::INFINITY;
     let mut best_sim_config = String::new();
-    for config in &shortlist {
-        let nl = transistor_level_nl(config, 9);
+    for (config, nl) in simulated.iter().zip(sim_nl) {
         if nl < best_sim_nl {
             best_sim_nl = nl;
             best_sim_config = format!("{config}");
         }
         sim_rows.push(vec![format!("{config}"), format!("{nl:.4}")]);
     }
-    let inv_config = CellConfig::uniform(GateKind::Inv, 5).expect("config");
-    let inv_sim_nl = transistor_level_nl(&inv_config, 9);
 
     let mut report = String::new();
     report.push_str(&format!(
