@@ -430,9 +430,8 @@ pub(crate) struct PivotedLu {
     /// Update targets: for each L entry, one slot per entry of its
     /// step's U row.
     targets: Vec<u32>,
-    /// `scatter[p]`: the factor slot that pattern slot `p` starts in.
-    scatter: Vec<u32>,
-    /// The factors, one value per slot.
+    /// The factors, one value per slot: the pattern's slots (in
+    /// [`SlotPattern`] order), then the fill-in.
     values: Vec<f64>,
     /// Right-hand side in pivot order, then the solution.
     y: Vec<f64>,
@@ -452,7 +451,6 @@ impl PivotedLu {
             lower: Vec::new(),
             upper: Vec::new(),
             targets: Vec::new(),
-            scatter: Vec::new(),
             values: Vec::new(),
             y: vec![0.0; n],
             counts: LuCounts::default(),
@@ -522,25 +520,21 @@ impl PivotedLu {
                 }
             }
         }
-        // Slot indices fit in u32: there are at most n * n (checked by
-        // the pattern).
+        // Factor slots: the pattern's own slots first, so that a matrix in
+        // slot form is copied in as it is, then the fill-in. Slot indices
+        // fit in u32: there are at most n * n (checked by the pattern).
         let mut slot = vec![u32::MAX; n * n];
-        let mut n_slots = 0u32;
+        let mut n_slots = self.pattern.len() as u32;
         for (pos, _) in fill.iter().enumerate().filter(|(_, &f)| f) {
-            slot[pos] = n_slots;
-            n_slots += 1;
+            let entry = self.rows[pos / n] * n + pos % n;
+            slot[pos] = if self.pattern.contains(entry) {
+                self.pattern.index[entry]
+            } else {
+                n_slots += 1;
+                n_slots - 1
+            };
         }
         self.values.resize(n_slots as usize, 0.0);
-        let mut position = vec![0; n];
-        for (i, &r) in self.rows.iter().enumerate() {
-            position[r] = i;
-        }
-        self.scatter.clear();
-        self.scatter
-            .extend(self.pattern.positions.iter().map(|&pos| {
-                let (r, c) = (pos as usize / n, pos as usize % n);
-                slot[position[r] * n + c]
-            }));
         self.lower.clear();
         self.upper.clear();
         self.targets.clear();
@@ -574,11 +568,10 @@ impl PivotedLu {
     /// Numeric LU of `a` along the analysed lists; `false` when a reused
     /// pivot fails the threshold.
     fn refactor(&mut self, a: &[f64]) -> bool {
-        // Fill-in slots start at zero, pattern slots at their entry.
-        self.values.fill(0.0);
-        for (&s, &v) in self.scatter.iter().zip(a) {
-            self.values[s as usize] = v;
-        }
+        // Pattern slots start at their entry, fill-in slots at zero.
+        let (entries, fill_in) = self.values.split_at_mut(a.len());
+        entries.copy_from_slice(a);
+        fill_in.fill(0.0);
         let values = &mut self.values[..];
         let (mut lower, mut upper, mut targets) =
             (&self.lower[..], &self.upper[..], &self.targets[..]);
