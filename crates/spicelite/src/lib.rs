@@ -6,7 +6,9 @@
 //! architecture:
 //!
 //! * **Modified nodal analysis** with a fill-reducing, pivot-reusing LU
-//!   ([`linalg`], [`mna`]);
+//!   that the compiled circuit stamps slot by slot, each set of parallel
+//!   duplicate transistors and capacitors simulated once ([`linalg`],
+//!   [`mna`]);
 //! * **Newton–Raphson** DC with gmin and source stepping ([`dc`]);
 //! * **Transient** analysis with backward-Euler/trapezoidal companions
 //!   and adaptive step control ([`transient`]);

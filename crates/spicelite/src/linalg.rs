@@ -1,29 +1,35 @@
 //! Linear algebra for modified nodal analysis.
 //!
 //! Circuit matrices at this scale (a ring oscillator is a few dozen
-//! unknowns) are small, so they are stored dense: stamping is a plain
-//! indexed add. [`Matrix::solve_in_place`] is the dense LU with partial
-//! pivoting; it overwrites the matrix with its factors.
+//! unknowns) are small. [`Matrix`] stores them dense: stamping is a
+//! plain indexed add, and [`Matrix::solve_in_place`] is the dense LU with
+//! partial pivoting; it overwrites the matrix with its factors.
 //!
 //! The Newton loop solves thousands of matrices that share one
 //! structural pattern, so it factors them the way SPICE-class solvers
 //! do (Sparse 1.3 `spOrderAndFactor`/`spFactor`, KLU analyse/refactor):
 //!
-//! * **Ordering.** [`min_degree_order`] picks a greedy minimum-degree
+//! * **Ordering.** `min_degree_order` picks a greedy minimum-degree
 //!   elimination order on the symmetrized pattern; the circuit compiler
 //!   ([`crate::mna`]) lays out its rows and columns in that order, so the
 //!   supply hub, adjacent to every pull-up, is eliminated after the
 //!   low-degree nodes instead of filling the matrix first.
+//! * **Slots.** The pattern's entries are numbered (`SlotPattern`), and
+//!   the solver's matrices live in slot form: one value per entry, which
+//!   the circuit compiler stamps directly. A dense matrix is built, by
+//!   scatter, only to be analysed.
 //! * **Analysis.** The first matrix is factored by
 //!   [`Matrix::solve_in_place`] itself, which records the row it chose at
 //!   each pivot. The L/U fill pattern of that row sequence is then
 //!   derived symbolically, and every pivot, multiplier and update becomes
-//!   a precomputed slot in a compact value array.
-//! * **Refactorization.** Each later matrix is gathered into the compact
-//!   array and eliminated along those lists only. A reused pivot must
-//!   still satisfy `|p| ≥ 10⁻³·max|column|` (and be a number above
-//!   10⁻³⁰⁰); otherwise the matrix is re-analysed, which either finds new
-//!   pivots or reports [`SimError::SingularMatrix`].
+//!   a precomputed slot in a compact value array: the pattern's own
+//!   slots first, then the fill-in.
+//! * **Refactorization.** Each later matrix is copied into the compact
+//!   array as it is, the fill-in zeroed, and eliminated along those lists
+//!   only. A reused pivot must still satisfy `|p| ≥ 10⁻³·max|column|`
+//!   (and be a number above 10⁻³⁰⁰); otherwise the matrix is
+//!   re-analysed, which either finds new pivots or reports
+//!   [`SimError::SingularMatrix`].
 //!
 //! With the same pivot rows, the refactorization performs exactly the
 //! floating-point operations of the dense LU on the entries that can be
@@ -482,7 +488,7 @@ impl PivotedLu {
         assert_eq!(b.len(), self.pattern.n(), "rhs dimension mismatch");
         if !self.steps.is_empty() {
             self.counts.factorizations += 1;
-            if self.refactor(a) {
+            if self.refactor(a, b) {
                 self.substitute(b);
                 return Ok(());
             }
@@ -565,33 +571,37 @@ impl PivotedLu {
         Ok(())
     }
 
-    /// Numeric LU of `a` along the analysed lists; `false` when a reused
-    /// pivot fails the threshold.
-    fn refactor(&mut self, a: &[f64]) -> bool {
+    /// Numeric LU of `a` along the analysed lists, with the forward
+    /// substitution of `b` (into `y`, in pivot order) folded into the
+    /// elimination as the dense LU does it; `false` when a reused pivot
+    /// fails the threshold, leaving the values and `y` unusable.
+    fn refactor(&mut self, a: &[f64], b: &[f64]) -> bool {
         // Pattern slots start at their entry, fill-in slots at zero.
         let (entries, fill_in) = self.values.split_at_mut(a.len());
         entries.copy_from_slice(a);
         fill_in.fill(0.0);
-        let values = &mut self.values[..];
+        let (values, y) = (&mut self.values[..], &mut self.y[..]);
+        for (yk, &r) in y.iter_mut().zip(&self.rows) {
+            *yk = b[r];
+        }
         let (mut lower, mut upper, mut targets) =
             (&self.lower[..], &self.upper[..], &self.targets[..]);
-        for step in &self.steps {
+        for (k, step) in self.steps.iter().enumerate() {
             let (col, rest) = lower.split_at(step.lower as usize);
             lower = rest;
             let (row, rest) = upper.split_at(step.upper as usize);
             upper = rest;
             let pivot = values[step.diag as usize];
-            let col_max = col
-                .iter()
-                .fold(pivot.abs(), |m, &(s, _)| m.max(values[s as usize].abs()));
-            // The negated forms also reject a NaN pivot.
-            if !(pivot.abs() >= TINY_PIVOT && pivot.abs() >= PIVOT_THRESHOLD * col_max) {
-                return false;
-            }
-            for &(s, _) in col {
+            let yk = y[k];
+            // The column is scanned for its largest entry as it is
+            // eliminated; a failed pivot discards the work.
+            let mut col_max = pivot.abs();
+            for &(s, i) in col {
                 let (row_targets, rest) = targets.split_at(row.len());
                 targets = rest;
-                let factor = values[s as usize] / pivot;
+                let entry = values[s as usize];
+                col_max = col_max.max(entry.abs());
+                let factor = entry / pivot;
                 values[s as usize] = factor;
                 if factor == 0.0 {
                     continue;
@@ -599,26 +609,19 @@ impl PivotedLu {
                 for (&(u, _), &t) in row.iter().zip(row_targets) {
                     values[t as usize] -= factor * values[u as usize];
                 }
+                y[i as usize] -= factor * yk;
+            }
+            // The negated forms also reject a NaN pivot.
+            if !(pivot.abs() >= TINY_PIVOT && pivot.abs() >= PIVOT_THRESHOLD * col_max) {
+                return false;
             }
         }
         true
     }
 
-    /// Forward and back substitution with the refactored values.
+    /// Back substitution of `y` with the refactored values, into `b`.
     fn substitute(&mut self, b: &mut [f64]) {
         let y = &mut self.y[..];
-        for (yk, &r) in y.iter_mut().zip(&self.rows) {
-            *yk = b[r];
-        }
-        let mut lower = &self.lower[..];
-        for (k, step) in self.steps.iter().enumerate() {
-            let (col, rest) = lower.split_at(step.lower as usize);
-            lower = rest;
-            let yk = y[k];
-            for &(s, i) in col {
-                y[i as usize] -= self.values[s as usize] * yk;
-            }
-        }
         let mut upper = &self.upper[..];
         for (k, step) in self.steps.iter().enumerate().rev() {
             let (rest, row) = upper.split_at(upper.len() - step.upper as usize);

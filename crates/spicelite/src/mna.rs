@@ -58,11 +58,6 @@ fn row_of(node: NodeId) -> Row {
     }
 }
 
-#[inline]
-fn row_voltage(x: &[f64], row: Row) -> f64 {
-    row.map_or(0.0, |i| x[i])
-}
-
 /// Norton companion model of one capacitor for the current time step:
 /// `i = geq·v + jeq` (with `v` the voltage across the capacitor).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -196,7 +191,7 @@ impl MnaSystem {
 /// Reads the voltage of `node` from an unknown vector.
 #[inline]
 pub fn node_voltage(x: &[f64], node: NodeId) -> f64 {
-    row_voltage(x, row_of(node))
+    row_of(node).map_or(0.0, |i| x[i])
 }
 
 /// Adds the conductance `g` to the slots of `(a, a)`, `(b, b)`, `(a, b)`

@@ -32,7 +32,9 @@ pub struct TranOptions {
     pub t_stop: f64,
     /// Initial/nominal time step, seconds.
     pub dt: f64,
-    /// Smallest allowed step before the run aborts.
+    /// Smallest allowed step before the run aborts. A step that would
+    /// leave less than `dt_min` before `t_stop` is stretched to end
+    /// exactly at `t_stop`, so the run never ends on a sliver step.
     pub dt_min: f64,
     /// Largest allowed step (accuracy bound).
     pub dt_max: f64,
