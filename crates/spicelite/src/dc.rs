@@ -671,16 +671,17 @@ mod tests {
     }
 
     /// Newton's iteration on the natural, device-by-device system of
-    /// [`crate::mna::assemble`], every linear solve a fresh dense LU.
+    /// [`crate::mna::assemble`], every linear solve a fresh dense LU: the
+    /// solution and the iterations it took.
     fn dense_newton(
         ckt: &Circuit,
         x0: &[f64],
         time: f64,
         comps: &[CapCompanion],
         opts: &SolverOptions,
-    ) -> Vec<f64> {
+    ) -> (Vec<f64>, u64) {
         let mut x = x0.to_vec();
-        for _ in 0..opts.max_iterations {
+        for iter in 1..=opts.max_iterations {
             let mut sys = crate::mna::assemble(ckt, &x, Some(time), Some(comps), opts.gmin, 1.0);
             let mut z = sys.z.clone();
             sys.a.solve_in_place(&mut z).unwrap();
@@ -691,7 +692,7 @@ mod tests {
                 *xi += delta;
             }
             if max_delta < opts.vtol + opts.reltol * vec_norm_inf(&x) {
-                return x;
+                return (x, iter as u64);
             }
         }
         panic!("dense Newton did not converge");
@@ -724,6 +725,7 @@ mod tests {
                     CapCompanion { geq, jeq: -geq * v }
                 })
                 .collect();
+            let iterations = newton.counts().0;
             let x_new = newton
                 .solve(&x, Some(t + h), Some(&comps), opts.gmin, 1.0, &opts)
                 .unwrap()
@@ -745,7 +747,12 @@ mod tests {
                         _ => None,
                     })
                     .collect();
-                let want = dense_newton(&ckt, &x, t + h, &device_comps, &opts);
+                let (want, dense_iterations) = dense_newton(&ckt, &x, t + h, &device_comps, &opts);
+                assert_eq!(
+                    newton.counts().0 - iterations,
+                    dense_iterations,
+                    "Newton iterations"
+                );
                 // The node voltages, that is: the supply current of this step
                 // is the difference of companion currents about 1e10 times
                 // larger than it, so rounding leaves it only about 1e-5
