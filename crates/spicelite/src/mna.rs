@@ -337,7 +337,8 @@ impl Stamps<'_> {
 /// (see [`crate::linalg`]). The second walk resolves every stamp to
 /// slots of the pattern in that order ([`SlotPattern`]), turns
 /// resistors into conductances and evaluates every MOSFET's `KP(T)·W/L`
-/// and `Vth(T)`.
+/// and `Vth(T)`. [`StampProgram::compile`] then merges parallel
+/// duplicates (see the module docs).
 ///
 /// Assembly stamps a slot array (one value per pattern entry, then the
 /// discard slot of ground) and a right-hand side (one value per row,
@@ -346,8 +347,9 @@ impl Stamps<'_> {
 /// [`StampProgram::stamp_sources`] stamp the entries that do not depend
 /// on the iterate; the solver reruns them only when their inputs change.
 /// [`StampProgram::stamp_nonlinear`] adds the MOSFET linearizations,
-/// once per Newton iteration. Each pass adds its contributions in device
-/// order.
+/// once per Newton iteration. Each pass adds its contributions in stamp
+/// order: resistors and sources in device order, then capacitors, then
+/// MOSFETs.
 #[derive(Debug, Clone)]
 pub(crate) struct StampProgram<'c> {
     stamps: Stamps<'c>,
