@@ -41,8 +41,8 @@
 //! * **Honest decommission and recovery** — a decommissioned group's
 //!   in-flight answers are discarded (the router fails over), and a
 //!   crash-recovered replica restarts with no resurrected cache, then
-//!   repairs its effect log from the healthiest live sibling before
-//!   serving.
+//!   adopts the dedup map and log position of the healthiest live
+//!   sibling before serving.
 //! * **Graceful drain** — [`WireServer::drain`] stops accepting,
 //!   lets every accepted in-flight request finish, flushes a final
 //!   snapshot per group, and only then stops the cores.
@@ -69,7 +69,7 @@ use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
     build_core, checkpoint_locked, maintenance_loop, wire_error_kind, wire_outcome, Core, Field,
-    JobStep, ReadJob, RuntimeConfig,
+    JobStep, ReadJob, RuntimeConfig, WIRE_ERROR_KINDS,
 };
 use crate::snapshot::{SnapshotError, SnapshotStore};
 use crate::soak::reference_array;
@@ -220,28 +220,77 @@ pub struct WireServerStats {
     /// Backup promotions ([`WireServer::kill_primary`] /
     /// [`WireServer::step_down`]).
     pub promotions: u64,
-    /// Divergent or crash-recovered replicas whose effect log was
-    /// repaired from a live sibling.
+    /// Divergent or crash-recovered replicas whose dedup map and log
+    /// position were repaired from a live sibling.
     pub rejoin_repairs: u64,
 }
 
-/// One replicated effect record, as shipped primary → backups. The
-/// recorded outcome rides along so a promoted backup can *replay*
-/// retried requests instead of re-executing them.
-#[derive(Debug, Clone)]
-struct ReplRecord {
-    /// Primary epoch the effect was accepted under.
-    epoch: u64,
-    /// Dense zero-based log position, minted by the primary.
-    pos: u64,
-    /// The client request id (the dedup key).
-    req_id: u64,
-    /// The recorded outcome, replayed on retry.
-    outcome: WireOutcome,
+/// A recorded outcome in 16 bytes, replayed on retry: one per served
+/// read on every replica, so its size is the serving tier's memory
+/// growth per read.
+///
+/// A reading keeps its value's bits exactly (NaN payloads and −0.0
+/// included) and packs `fresh` and `age_ms` into `word`; a typed
+/// failure stores its kind as an index into [`WIRE_ERROR_KINDS`].
+/// Ages up to [`MAX_RECORDED_AGE_MS`] round-trip exactly; longer ones
+/// (over 10⁸ years) saturate. [`WireOutcome::Shed`] is never recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Recorded {
+    /// A reading's `value_c.to_bits()`; 0 for a failure.
+    bits: u64,
+    /// A failure's `FAILED_TAG | kind index`, or a reading's
+    /// `age_ms`, with `FRESH_BIT` set when it was fresh.
+    word: u64,
+}
+
+const FAILED_TAG: u64 = 1 << 63;
+const FRESH_BIT: u64 = 1 << 62;
+/// The longest reading age [`Recorded`] keeps exactly.
+const MAX_RECORDED_AGE_MS: u64 = FRESH_BIT - 1;
+
+impl Recorded {
+    /// Packs a reading or a typed failure; `None` for
+    /// [`WireOutcome::Shed`] and for a kind outside
+    /// [`WIRE_ERROR_KINDS`].
+    fn new(outcome: &WireOutcome) -> Option<Recorded> {
+        match outcome {
+            WireOutcome::Reading {
+                value_c,
+                fresh,
+                age_ms,
+            } => Some(Recorded {
+                bits: value_c.to_bits(),
+                word: (*age_ms).min(MAX_RECORDED_AGE_MS) | if *fresh { FRESH_BIT } else { 0 },
+            }),
+            WireOutcome::Failed { kind } => {
+                let idx = WIRE_ERROR_KINDS.iter().position(|k| k == kind)?;
+                Some(Recorded {
+                    bits: 0,
+                    word: FAILED_TAG | idx as u64,
+                })
+            }
+            WireOutcome::Shed { .. } => None,
+        }
+    }
+
+    /// The outcome as it was recorded.
+    fn outcome(self) -> WireOutcome {
+        if self.word & FAILED_TAG != 0 {
+            WireOutcome::Failed {
+                kind: WIRE_ERROR_KINDS[(self.word & !FAILED_TAG) as usize].into(),
+            }
+        } else {
+            WireOutcome::Reading {
+                value_c: f64::from_bits(self.bits),
+                fresh: self.word & FRESH_BIT != 0,
+                age_ms: self.word & MAX_RECORDED_AGE_MS,
+            }
+        }
+    }
 }
 
 /// One replica behind the server: a real service core plus the wire
-/// tier's bookkeeping (dedup, incarnation, epoch fence, effect log).
+/// tier's bookkeeping (dedup, incarnation, epoch fence, log position).
 struct WireShard {
     core: Arc<Core>,
     maintenance: Option<JoinHandle<()>>,
@@ -251,12 +300,17 @@ struct WireShard {
     held_epoch: u64,
     /// Permanently killed — never serves or acks again.
     killed: bool,
-    /// At-most-once dedup: `req_id` → position in `log`, replayed on
+    /// At-most-once dedup: `req_id` → recorded outcome, replayed on
     /// retry instead of converting again. Backups receive entries via
-    /// replication, so the map survives primary failover.
-    seen: HashMap<u64, u64>,
-    /// The replicated effect log, position-dense within the group.
-    log: Vec<ReplRecord>,
+    /// replication, so the map survives primary failover. Std's
+    /// SipHash stays: clients choose the keys.
+    seen: HashMap<u64, Recorded>,
+    /// Effects replicated to this replica: the next log position,
+    /// dense within the group.
+    log_len: u64,
+    /// Epoch of the last replicated effect (0 before the first) — the
+    /// election's major key.
+    last_epoch: u64,
     /// Requests whose effects actually executed on this replica.
     effects: u64,
     /// Server time of decommission, if any (group-wide: the stamp is
@@ -489,8 +543,8 @@ impl WireServer {
             .collect()
     }
 
-    /// `(epoch, primary index, per-replica effect-log lengths)` for
-    /// one group — the replication state tests assert on.
+    /// `(epoch, primary index, per-replica log positions)` for one
+    /// group — the replication state tests assert on.
     ///
     /// # Errors
     ///
@@ -500,7 +554,7 @@ impl WireServer {
         let lens = g
             .replicas
             .iter()
-            .map(|r| r.lock().expect("replica poisoned").log.len() as u64)
+            .map(|r| r.lock().expect("replica poisoned").log_len)
             .collect();
         Ok((
             g.epoch.load(Ordering::SeqCst),
@@ -521,7 +575,7 @@ impl WireServer {
 
     /// Crash-and-recover `group`'s current primary in place: stop its
     /// core, reload the newest valid snapshot from disk, start a fresh
-    /// incarnation, and repair its effect log and dedup map from the
+    /// incarnation, and repair its dedup map and log position from the
     /// healthiest live sibling (counted in
     /// [`WireServerStats::rejoin_repairs`]). A recovery that comes
     /// back holding a cached median is counted in
@@ -557,17 +611,14 @@ impl WireServer {
         replacement.held_epoch = old_held_epoch;
         replacement.decommissioned_at_ms = decommissioned;
         *guards[pidx] = replacement;
-        // Rejoin repair: adopt the longest live sibling log (every
-        // acked effect is on every live backup, so longest = complete).
+        // Adopt the longest live sibling log (every acked effect is on
+        // every live backup, so longest = complete).
         let donor = (0..guards.len())
             .filter(|&r| r != pidx && !guards[r].killed)
-            .max_by_key(|&r| guards[r].log.len());
+            .max_by_key(|&r| guards[r].log_len);
         if let Some(d) = donor {
-            if !guards[d].log.is_empty() {
-                let log = guards[d].log.clone();
-                let seen = guards[d].seen.clone();
-                guards[pidx].log = log;
-                guards[pidx].seen = seen;
+            if guards[d].log_len > 0 {
+                rejoin_repair(&mut guards, d, pidx);
                 self.inner
                     .stats
                     .rejoin_repairs
@@ -634,7 +685,7 @@ impl WireServer {
         // Epoch-major election key, same as the simulated fleet: a
         // replica whose last record carries a higher epoch has seen
         // strictly newer acked work than any length can fake.
-        let key = |s: &WireShard| (s.log.last().map_or(0, |r| r.epoch), s.log.len());
+        let key = |s: &WireShard| (s.last_epoch, s.log_len);
         let winner = (0..guards.len())
             .filter(|&r| !guards[r].killed)
             .max_by(|&a, &b| {
@@ -802,7 +853,8 @@ fn start_replica(
         held_epoch: 0,
         killed: false,
         seen: HashMap::new(),
-        log: Vec::new(),
+        log_len: 0,
+        last_epoch: 0,
         effects: 0,
         decommissioned_at_ms: None,
     })
@@ -1086,7 +1138,7 @@ fn serve_client_req(inner: &Arc<Inner>, req_id: u64, key: u64) -> FleetMsg {
                 return FleetMsg::ClientResp {
                     req_id,
                     outcome: WireOutcome::Failed {
-                        kind: wire_error_kind(&err),
+                        kind: wire_error_kind(&err).into(),
                     },
                     origin_shard: route.shard,
                     forwarded_at_ms: inner.now_ms(),
@@ -1126,11 +1178,9 @@ fn admit_group(inner: &Arc<Inner>, g: usize, req_id: u64) -> Admission {
     if sh.decommissioned_at_ms.is_some() || sh.killed {
         return Admission::Unavailable;
     }
-    if let Some(&pos) = sh.seen.get(&req_id) {
-        let rec = &sh.log[pos as usize];
-        debug_assert_eq!(rec.req_id, req_id, "dedup map points at a foreign record");
+    if let Some(rec) = sh.seen.get(&req_id) {
         inner.stats.deduped.fetch_add(1, Ordering::SeqCst);
-        return Admission::Deduped(rec.outcome.clone(), inner.now_ms());
+        return Admission::Deduped(rec.outcome(), inner.now_ms());
     }
     Admission::Admitted {
         core: Arc::clone(&sh.core),
@@ -1145,6 +1195,10 @@ fn admit_group(inner: &Arc<Inner>, g: usize, req_id: u64) -> Admission {
 /// record it on the primary and forward the answer. The
 /// backups-before-ack ordering is the durability argument: once the
 /// client sees an answer, every live replica can replay it.
+///
+/// `outcome` is a reading or a typed failure from [`wire_outcome`]'s
+/// vocabulary; anything else is a bug in the caller and panics before
+/// any lock is taken.
 fn record_group(
     inner: &Arc<Inner>,
     g: usize,
@@ -1154,6 +1208,7 @@ fn record_group(
     req_id: u64,
     outcome: WireOutcome,
 ) -> GroupAttempt {
+    let rec = Recorded::new(&outcome).expect("only readings and typed failures are recorded");
     let group = &inner.groups[g];
     let mut guards = group.lock_all();
     if guards[pidx].incarnation != incarnation || guards[pidx].decommissioned_at_ms.is_some() {
@@ -1171,12 +1226,7 @@ fn record_group(
         inner.stats.fenced_writes.fetch_add(1, Ordering::SeqCst);
         return GroupAttempt::Fenced;
     }
-    let rec = ReplRecord {
-        epoch,
-        pos: guards[pidx].log.len() as u64,
-        req_id,
-        outcome: outcome.clone(),
-    };
+    let pos = guards[pidx].log_len;
     // Ship to every live backup BEFORE acknowledging.
     let mut fenced_backup = false;
     let mut acks: usize = 0;
@@ -1191,16 +1241,14 @@ fn record_group(
             fenced_backup = true;
             continue;
         }
-        if guards[r].log.len() as u64 != rec.pos {
+        if guards[r].log_len != pos {
             // Divergent backup (e.g. it joined cold): converge it to
             // the primary's canonical log before appending.
-            guards[r].log = guards[pidx].log.clone();
-            guards[r].seen = guards[pidx].seen.clone();
+            rejoin_repair(&mut guards, pidx, r);
             inner.stats.rejoin_repairs.fetch_add(1, Ordering::SeqCst);
         }
         guards[r].held_epoch = epoch;
-        guards[r].seen.insert(req_id, rec.pos);
-        guards[r].log.push(rec.clone());
+        append(&mut guards[r], epoch, req_id, rec);
         acks += 1;
         inner.stats.replicated.fetch_add(1, Ordering::SeqCst);
     }
@@ -1213,14 +1261,33 @@ fn record_group(
         // mid-promotion; refuse typed so the client retries.
         return GroupAttempt::Fenced;
     }
-    if guards[pidx].seen.insert(req_id, rec.pos).is_some() {
+    if append(&mut guards[pidx], epoch, req_id, rec) {
         inner.stats.duplicate_effects.fetch_add(1, Ordering::SeqCst);
     }
-    guards[pidx].log.push(rec);
     guards[pidx].effects += 1;
     // Stamp under the group locks: a decommission stamp is strictly
     // ordered against every forwarded answer from this group.
     GroupAttempt::Served(outcome, inner.now_ms())
+}
+
+/// Rejoin repair: replica `to` adopts replica `from`'s dedup map, log
+/// position and last epoch — for a crash-recovered replica and for a
+/// backup whose position diverged from the primary's.
+fn rejoin_repair(guards: &mut [MutexGuard<'_, WireShard>], from: usize, to: usize) {
+    let seen = guards[from].seen.clone();
+    let (log_len, last_epoch) = (guards[from].log_len, guards[from].last_epoch);
+    let repaired = &mut guards[to];
+    repaired.seen = seen;
+    repaired.log_len = log_len;
+    repaired.last_epoch = last_epoch;
+}
+
+/// Appends one effect at the replica's next log position; `true` when
+/// `req_id` was already recorded there.
+fn append(sh: &mut WireShard, epoch: u64, req_id: u64, rec: Recorded) -> bool {
+    sh.log_len += 1;
+    sh.last_epoch = epoch;
+    sh.seen.insert(req_id, rec).is_some()
 }
 
 /// Runs one request on one group: admit at the primary, execute, then
@@ -1452,6 +1519,172 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.duplicate_effects, 0);
+        server.drain().expect("drain");
+    }
+
+    /// Outcome equality that compares a reading's value by its bits,
+    /// so NaN payloads and −0.0 count.
+    fn identical(a: &WireOutcome, b: &WireOutcome) -> bool {
+        match (a, b) {
+            (
+                WireOutcome::Reading {
+                    value_c: va,
+                    fresh: fa,
+                    age_ms: aa,
+                },
+                WireOutcome::Reading {
+                    value_c: vb,
+                    fresh: fb,
+                    age_ms: ab,
+                },
+            ) => va.to_bits() == vb.to_bits() && fa == fb && aa == ab,
+            _ => a == b,
+        }
+    }
+
+    fn served(attempt: GroupAttempt) -> WireOutcome {
+        match attempt {
+            GroupAttempt::Served(outcome, _) => outcome,
+            GroupAttempt::Fenced => panic!("expected an answer, got a fence"),
+            GroupAttempt::Unavailable => panic!("expected an answer, got an unavailable group"),
+        }
+    }
+
+    #[test]
+    fn recorded_fits_sixteen_bytes_and_refuses_what_is_never_recorded() {
+        assert!(std::mem::size_of::<Recorded>() <= 16);
+        assert_eq!(
+            Recorded::new(&WireOutcome::Shed { retry_after_ms: 5 }),
+            None
+        );
+        // Server-side kinds outside the error vocabulary never reach
+        // `record_group`.
+        for kind in ["protocol", "unservable", "sensor(notready)"] {
+            let failed = WireOutcome::Failed { kind: kind.into() };
+            assert_eq!(Recorded::new(&failed), None, "{kind}");
+        }
+        // Past the documented range an age saturates.
+        let old = Recorded::new(&WireOutcome::Reading {
+            value_c: 1.0,
+            fresh: false,
+            age_ms: u64::MAX,
+        })
+        .expect("readings are recorded");
+        assert!(matches!(
+            old.outcome(),
+            WireOutcome::Reading { fresh: false, age_ms, .. } if age_ms == MAX_RECORDED_AGE_MS
+        ));
+    }
+
+    mod round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Value bit patterns a random draw rarely hits.
+        const SPECIAL_BITS: [u64; 6] = [
+            0x8000_0000_0000_0000, // −0.0
+            0x7FF8_0000_DEAD_BEEF, // quiet NaN with a payload
+            0xFFF8_0000_0000_0001, // negative quiet NaN
+            0x7FF0_0000_0000_0001, // signalling NaN
+            0xFFF0_0000_0000_0000, // −∞
+            0x0000_0000_0000_0001, // smallest subnormal
+        ];
+
+        proptest! {
+            #[test]
+            fn wire_outcomes_round_trip_through_recorded(
+                raw_bits in any::<u64>(),
+                special in 0usize..2 * SPECIAL_BITS.len(),
+                fresh in any::<bool>(),
+                age_ms in 0..=MAX_RECORDED_AGE_MS,
+                small_age_ms in 0u64..100_000,
+                kind in 0..WIRE_ERROR_KINDS.len(),
+            ) {
+                let bits = SPECIAL_BITS.get(special).copied().unwrap_or(raw_bits);
+                for age_ms in [0, small_age_ms, age_ms, MAX_RECORDED_AGE_MS] {
+                    let reading = WireOutcome::Reading {
+                        value_c: f64::from_bits(bits),
+                        fresh,
+                        age_ms,
+                    };
+                    let rec = Recorded::new(&reading).expect("readings are recorded");
+                    prop_assert!(identical(&rec.outcome(), &reading), "{reading:?}");
+                }
+                let failed = WireOutcome::Failed {
+                    kind: WIRE_ERROR_KINDS[kind].into(),
+                };
+                let rec = Recorded::new(&failed).expect("vocabulary kinds are recorded");
+                prop_assert_eq!(rec.outcome(), failed);
+            }
+        }
+    }
+
+    #[test]
+    fn promoted_and_repaired_replicas_replay_readings_and_failures_exactly() {
+        let server = WireServer::start(
+            WireServerConfig {
+                shards: 1,
+                replication: 3,
+                ack_quorum: 2,
+                sites_per_shard: 3,
+                ..WireServerConfig::default()
+            },
+            None,
+        )
+        .expect("server starts");
+        let reading = served(try_group(&server.inner, 0, 7, 1));
+        assert!(
+            matches!(reading, WireOutcome::Reading { .. }),
+            "{reading:?}"
+        );
+        // A typed failure, recorded the way `try_group` records one.
+        let Admission::Admitted {
+            epoch,
+            pidx,
+            incarnation,
+            ..
+        } = admit_group(&server.inner, 0, 8)
+        else {
+            panic!("fresh request must be admitted");
+        };
+        let failure = WireOutcome::Failed {
+            kind: wire_error_kind(&RuntimeError::Sensor(sensor::SensorError::NotReady)).into(),
+        };
+        let recorded = record_group(
+            &server.inner,
+            0,
+            epoch,
+            pidx,
+            incarnation,
+            8,
+            failure.clone(),
+        );
+        assert!(identical(&served(recorded), &failure));
+        let (_, _, lens) = server.group_view(0).expect("view");
+        assert_eq!(lens, vec![2, 2, 2], "both effects on every replica");
+
+        let resend_both = |label: &str| {
+            let before = server.stats();
+            let ledger = server.shard_ledger();
+            for (req_id, want) in [(7, &reading), (8, &failure)] {
+                let got = served(try_group(&server.inner, 0, req_id, 1));
+                assert!(identical(&got, want), "{label}: {got:?} vs {want:?}");
+            }
+            let after = server.stats();
+            assert_eq!(after.deduped, before.deduped + 2, "{label}");
+            assert_eq!(server.shard_ledger(), ledger, "{label}: no effect re-ran");
+            assert_eq!(after.duplicate_effects, 0, "{label}");
+        };
+
+        server.kill_primary(0).expect("promotion");
+        resend_both("after kill_primary");
+
+        let repairs = server.stats().rejoin_repairs;
+        server.crash_shard(0).expect("crash-recover");
+        assert_eq!(server.stats().rejoin_repairs, repairs + 1);
+        let (_, pidx, lens) = server.group_view(0).expect("view");
+        assert_eq!(lens[pidx], 2, "repaired primary adopted the log position");
+        resend_both("after rejoin repair");
         server.drain().expect("drain");
     }
 }

@@ -799,24 +799,50 @@ pub(crate) fn wire_outcome(
             age_ms: r.age_ms,
         },
         Err(e) => wire::WireOutcome::Failed {
-            kind: wire_error_kind(&e),
+            kind: wire_error_kind(&e).into(),
         },
     }
 }
 
-/// The `kind` string a [`RuntimeError`] shows on the wire. The
-/// hyphenated errors get explicit arms — the derived fallback would
-/// render e.g. `StaleEpoch` as `"staleepoch"`, which clients match on.
-pub(crate) fn wire_error_kind(e: &RuntimeError) -> String {
+/// Every `kind` string [`wire_error_kind`] can return, one per
+/// [`RuntimeError`] variant. The TCP tier's dedup map stores a failure
+/// as an index into this table.
+pub(crate) const WIRE_ERROR_KINDS: [&str; 14] = [
+    "deadline",
+    "stale-cache",
+    "nohealthy",
+    "unservableconfig",
+    "unrecoverablefreshness",
+    "implausiblereading",
+    "badchannel",
+    "framebudget",
+    "stale-epoch",
+    "badreplication",
+    "badload",
+    "shutdown",
+    "sensor",
+    "snapshot",
+];
+
+/// The `kind` string a [`RuntimeError`] shows on the wire, from the
+/// fixed [`WIRE_ERROR_KINDS`] vocabulary. Clients match on these
+/// strings; a wrapped error shows only its outer variant.
+pub(crate) fn wire_error_kind(e: &RuntimeError) -> &'static str {
     match e {
-        RuntimeError::DeadlineExceeded { .. } => "deadline".into(),
-        RuntimeError::StaleCache { .. } => "stale-cache".into(),
-        RuntimeError::StaleEpoch { .. } => "stale-epoch".into(),
-        other => format!("{other:?}")
-            .split(['{', ' '])
-            .next()
-            .unwrap_or("error")
-            .to_ascii_lowercase(),
+        RuntimeError::DeadlineExceeded { .. } => "deadline",
+        RuntimeError::StaleCache { .. } => "stale-cache",
+        RuntimeError::NoHealthy { .. } => "nohealthy",
+        RuntimeError::UnservableConfig { .. } => "unservableconfig",
+        RuntimeError::UnrecoverableFreshness { .. } => "unrecoverablefreshness",
+        RuntimeError::ImplausibleReading { .. } => "implausiblereading",
+        RuntimeError::BadChannel { .. } => "badchannel",
+        RuntimeError::FrameBudget { .. } => "framebudget",
+        RuntimeError::StaleEpoch { .. } => "stale-epoch",
+        RuntimeError::BadReplication { .. } => "badreplication",
+        RuntimeError::BadLoad { .. } => "badload",
+        RuntimeError::Shutdown => "shutdown",
+        RuntimeError::Sensor(_) => "sensor",
+        RuntimeError::Snapshot(_) => "snapshot",
     }
 }
 
@@ -1178,6 +1204,116 @@ mod tests {
             checkpoint_interval_ms: 0, // periodic checkpoints off
             staleness_bound_ms: 300,
             ..RuntimeConfig::default()
+        }
+    }
+
+    #[test]
+    fn every_error_variant_has_a_pinned_wire_kind_from_the_vocabulary() {
+        let pinned = [
+            (
+                RuntimeError::DeadlineExceeded {
+                    deadline_ms: 1,
+                    now_ms: 2,
+                },
+                "deadline",
+            ),
+            (
+                RuntimeError::StaleCache {
+                    age_ms: 9,
+                    bound_ms: 4,
+                },
+                "stale-cache",
+            ),
+            (
+                RuntimeError::NoHealthy {
+                    total: 3,
+                    quarantined: 3,
+                },
+                "nohealthy",
+            ),
+            (
+                RuntimeError::UnservableConfig {
+                    site: "s0".into(),
+                    conversion_ms: 9.0,
+                    deadline_ms: 1,
+                },
+                "unservableconfig",
+            ),
+            (
+                RuntimeError::UnrecoverableFreshness {
+                    staleness_bound_ms: 1,
+                    checkpoint_interval_ms: 2,
+                },
+                "unrecoverablefreshness",
+            ),
+            (
+                RuntimeError::ImplausibleReading {
+                    channel: 0,
+                    period_s: 1.0,
+                },
+                "implausiblereading",
+            ),
+            (
+                RuntimeError::BadChannel {
+                    channel: 9,
+                    available: 3,
+                },
+                "badchannel",
+            ),
+            (
+                RuntimeError::FrameBudget {
+                    budget_bytes: 64,
+                    required_bytes: 128,
+                    total_sites: 8,
+                },
+                "framebudget",
+            ),
+            (
+                RuntimeError::StaleEpoch {
+                    held_epoch: 1,
+                    current_epoch: 2,
+                    group: 0,
+                },
+                "stale-epoch",
+            ),
+            (
+                RuntimeError::BadReplication { detail: "x".into() },
+                "badreplication",
+            ),
+            (
+                RuntimeError::BadLoad {
+                    rate_hz: f64::NAN,
+                    duration_ms: 1,
+                },
+                "badload",
+            ),
+            (RuntimeError::Shutdown, "shutdown"),
+            (RuntimeError::Sensor(SensorError::NotReady), "sensor"),
+            (
+                RuntimeError::Sensor(SensorError::Model(tsense_core::ModelError::InvalidRing {
+                    reason: "even".into(),
+                })),
+                "sensor",
+            ),
+            (
+                RuntimeError::Snapshot(SnapshotError::NoValidSnapshot {
+                    dir: "d".into(),
+                    examined: 0,
+                }),
+                "snapshot",
+            ),
+        ];
+        for (err, kind) in &pinned {
+            assert_eq!(wire_error_kind(err), *kind, "{err:?}");
+            assert!(
+                WIRE_ERROR_KINDS.contains(kind),
+                "{kind} not in the vocabulary"
+            );
+        }
+        // Each vocabulary entry is some variant's kind, exactly once.
+        for kind in WIRE_ERROR_KINDS {
+            assert!(pinned.iter().any(|(_, k)| *k == kind), "{kind} unused");
+            assert_eq!(WIRE_ERROR_KINDS.iter().filter(|&&k| k == kind).count(), 1);
         }
     }
 
