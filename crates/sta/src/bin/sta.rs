@@ -9,8 +9,6 @@
 //! --ratio R      Wp/Wn sizing ratio (default: 2.0)
 //! --validate     cross-validate STA against the transient simulator
 //! --check        run the NC05xx timing rules on each ring netlist
-//! --paths N      critical paths to print (default: 3; accepted, but
-//!                no report prints paths yet)
 //! --json         machine-readable output
 //! --rules        list the timing rule ids and exit
 //! --help         this text
@@ -31,7 +29,7 @@ use sta::{
 use tsense_cli::{Flags, Kind, Operands, Switch, Value};
 
 const USAGE: &str = "usage: sta [--examples] [--temps LIST] [--ratio R] [--validate] \
-                     [--check] [--paths N] [--json] [--rules] [MIX...]";
+                     [--check] [--json] [--rules] [MIX...]";
 
 struct Options {
     examples: bool,
@@ -39,10 +37,6 @@ struct Options {
     ratio: f64,
     validate: bool,
     check: bool,
-    /// Accepted and range-checked, but no report prints critical paths
-    /// yet.
-    #[allow(dead_code)]
-    paths: usize,
     json: bool,
     mixes: Vec<String>,
 }
@@ -129,7 +123,6 @@ fn main() -> ExitCode {
         ("--ratio", Value),
         ("--validate", Switch),
         ("--check", Switch),
-        ("--paths", Value),
         ("--json", Switch),
         ("--rules", Switch),
         ("MIX", Operands),
@@ -153,7 +146,6 @@ fn main() -> ExitCode {
         ratio: f.positive("--ratio", 2.0),
         validate: f.has("--validate"),
         check: f.has("--check"),
-        paths: f.or("--paths", 3),
         json: f.has("--json"),
         mixes: f.operands().to_vec(),
     };

@@ -1,6 +1,7 @@
-//! `sta` flag handling: a NaN temperature or a non-positive sizing
-//! ratio is a usage error (exit 2, empty stdout, the flag named on
-//! stderr), while a temperature list starting with `-` is a value.
+//! `sta` flag handling: a NaN temperature, a non-positive sizing
+//! ratio or the removed `--paths` flag is a usage error (exit 2, empty
+//! stdout, the flag named on stderr), while a temperature list starting
+//! with `-` is a value.
 
 use std::process::{Command, Output};
 
@@ -47,4 +48,17 @@ fn a_temperature_list_starting_with_a_dash_is_a_value() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("-50.0 °C: period"), "{stdout}");
+}
+
+#[test]
+fn the_removed_paths_flag_is_a_usage_error() {
+    let out = sta(&["--paths", "3", "3xINV"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown argument `--paths`"), "{stderr}");
+    assert!(
+        !stderr.contains("--paths N"),
+        "usage still lists it: {stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
