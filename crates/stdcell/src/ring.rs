@@ -15,6 +15,10 @@ use tsense_core::gate::GateKind;
 
 use crate::cells::{emit_cell, CellSizing};
 
+/// Rising crossings of `n0` that [`TransistorRing::measure_period`]
+/// discards as start-up transient before averaging the period.
+const STARTUP_CROSSINGS: usize = 3;
+
 /// A period measurement with the solver work that produced it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodMeasurement {
@@ -155,8 +159,8 @@ impl TransistorRing {
     ///
     /// The simulation horizon starts at an internally estimated guess and
     /// doubles (at most four horizons are run) until enough threshold crossings exist
-    /// for a confident average: the first two crossings are discarded as
-    /// start-up transient.
+    /// for a confident average: the first three rising crossings are
+    /// discarded as start-up transient, so a horizon needs five.
     ///
     /// # Errors
     ///
@@ -215,7 +219,7 @@ impl TransistorRing {
                 reanalyses: stats.reanalyses + run.reanalyses,
                 factor_nonzeros: run.factor_nonzeros,
             };
-            match wave.period("n0", threshold, 3) {
+            match wave.period("n0", threshold, STARTUP_CROSSINGS) {
                 Ok(period) => {
                     return Ok(PeriodMeasurement {
                         period,
