@@ -11,8 +11,7 @@
 //!    Fig. 3 accuracy sweep.
 //! 2. **Cost**: how long one end-to-end certification takes
 //!    (sampling grid → interval chain → rules), and how large the
-//!    derivation graph is — the price of the proof, amortized over
-//!    every runtime start that can now skip its dynamic preflight.
+//!    derivation graph is — the price of the proof.
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -86,16 +86,6 @@ pub struct RuntimeConfig {
     pub snapshot_keep: usize,
     /// Seed for retry jitter (the only randomness in the service).
     pub seed: u64,
-    /// Optional `netcheck certify` certificate. When present, proven,
-    /// fingerprint-matched to every site's sensor configuration, and
-    /// covering this config's deadline/staleness/checkpoint knobs, the
-    /// startup preflight accepts the certificate's interval proof in
-    /// place of its own point-estimate checks (the proof bounds the
-    /// conversion over the whole certified temperature × supply
-    /// envelope, not just the nominal hot corner). A certificate that
-    /// does not apply is ignored and the point-estimate preflight runs
-    /// as usual — it can relax nothing.
-    pub certificate: Option<netcheck::absint::Certificate>,
 }
 
 impl Default for RuntimeConfig {
@@ -116,7 +106,6 @@ impl Default for RuntimeConfig {
             snapshot_dir: None,
             snapshot_keep: 4,
             seed: 0,
-            certificate: None,
         }
     }
 }
@@ -520,17 +509,11 @@ pub(crate) fn build_core(
 
 /// Startup preflight over the deadline and freshness budgets.
 ///
-/// With an applicable certificate ([`certificate_applies`]), the
-/// interval proof stands in for the point-estimate checks: `NC1001`/
-/// `NC1003` subsume `NC0701`/`NC0801` over the whole certified
-/// envelope. Otherwise the shared `netcheck` passes run here — the
-/// same `NC0701` (worst-case conversion vs deadline) and `NC0801`
-/// (staleness vs checkpoint interval) rules the lint frontend fires,
-/// so the static and dynamic verdicts can never drift apart.
+/// The shared `netcheck` passes run here — the same `NC0701`
+/// (worst-case conversion vs deadline) and `NC0801` (staleness vs
+/// checkpoint interval) rules the lint frontend fires, so the static
+/// and dynamic verdicts can never drift apart.
 pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConfig) -> Result<()> {
-    if certificate_applies(array, config) {
-        return Ok(());
-    }
     let deadline_s = config.default_deadline_ms as f64 * 1e-3;
     for site in array.sites() {
         let cfg = site.unit.config();
@@ -555,25 +538,6 @@ pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConf
         });
     }
     Ok(())
-}
-
-/// True when the attached certificate proves this deployment: the
-/// proof is discharged, its runtime envelope covers this config's
-/// knobs, and its fingerprint matches *every* site's sensor
-/// configuration (a certificate for a different ring, window, or
-/// counter width proves nothing about this array).
-fn certificate_applies(array: &SensorArray, config: &RuntimeConfig) -> bool {
-    let Some(cert) = &config.certificate else {
-        return false;
-    };
-    cert.covers(
-        config.default_deadline_ms as f64,
-        config.staleness_bound_ms,
-        config.checkpoint_interval_ms,
-    ) && array
-        .sites()
-        .iter()
-        .all(|site| netcheck::absint::config_fingerprint(site.unit.config()) == cert.fingerprint)
 }
 
 /// Handle to a running monitor. Dropping it without
