@@ -12,7 +12,7 @@
 //! | `NC14xx` | [`StructuralPass`] | floating inputs, dead gates, fan-out over the stdcell drive budget |
 //!
 //! All four run through the ordinary [`Pass`] machinery, so the CLI,
-//! the preflight wrappers, and the parallel driver share one engine.
+//! the tests, and the parallel driver share one engine.
 
 use dsim::netlist::{Component, Netlist, SignalId};
 use sta::levelize::{component_successors, levelize, Levelization};

@@ -25,7 +25,7 @@
 //! Every rule has a stable ID and fires as a [`Diagnostic`] at a fixed
 //! [`Severity`]; a [`Report`] aggregates them and renders as text or
 //! JSON. Rules run through the [`Pass`] trait so frontends (the
-//! `netcheck` CLI, the [`preflight`] wrappers, tests) share one
+//! `netcheck` CLI, the runtime's startup checks, tests) share one
 //! engine.
 //!
 //! ```
@@ -50,7 +50,6 @@ pub mod driver;
 pub mod library_rules;
 pub mod netlist_rules;
 pub mod pass;
-pub mod preflight;
 pub mod replication_rules;
 pub mod resilience_rules;
 pub mod runtime_rules;
@@ -70,7 +69,6 @@ pub use library_rules::{
 };
 pub use netlist_rules::{check_netlist, check_netlist_with, NetlistCheckOptions};
 pub use pass::{rule_info, run_passes, Pass, RuleInfo, RULES};
-pub use preflight::PreflightError;
 pub use replication_rules::{
     check_replication, AckQuorumPass, FailoverFreshnessPass, ReplicationTuning,
 };

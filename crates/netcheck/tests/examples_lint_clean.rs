@@ -4,8 +4,12 @@
 
 use dsim::builders::ring_oscillator;
 use dsim::netlist::{GateOp, Netlist};
-use netcheck::{check_deck, check_library, check_netlist, check_sensor_config, Severity};
+use netcheck::{
+    check_deck, check_library, check_netlist, check_netlist_dataflow, check_sensor_config, Severity,
+};
+use sensor::digitizer::GateLevelDigitizer;
 use sensor::gateunit::GateLevelUnit;
+use sensor::muxscan::GateLevelMuxScan;
 use sensor::unit::SensorConfig;
 use stdcell::library::CellLibrary;
 use tsense_core::gate::{Gate, GateKind};
@@ -41,6 +45,33 @@ fn gate_level_unit_netlist_lints_clean() {
     let unit =
         GateLevelUnit::new(Seconds::from_nanos(1.5), Hertz::from_mega(1000.0), 16, 128).unwrap();
     let report = check_netlist(unit.netlist());
+    assert!(!report.has_errors(), "{}", report.render_text());
+}
+
+// The shipped sequential structures must pass the NC11xx–NC14xx
+// dataflow lints (clock-domain crossings, X-propagation, hazards,
+// structure); the mux scan has the most clock domains in the workspace.
+#[test]
+fn gate_level_digitizer_passes_the_dataflow_lints() {
+    let d =
+        GateLevelDigitizer::new(Seconds::from_nanos(1.5), Hertz::from_mega(1000.0), 64).unwrap();
+    let report = check_netlist_dataflow(&d.netlist());
+    assert!(!report.has_errors(), "{}", report.render_text());
+}
+
+#[test]
+fn gate_level_unit_passes_the_dataflow_lints() {
+    let unit =
+        GateLevelUnit::new(Seconds::from_nanos(1.5), Hertz::from_mega(1000.0), 16, 64).unwrap();
+    let report = check_netlist_dataflow(unit.netlist());
+    assert!(!report.has_errors(), "{}", report.render_text());
+}
+
+#[test]
+fn gate_level_mux_scan_passes_the_dataflow_lints() {
+    let periods = [1.2, 1.4, 1.6, 1.8].map(Seconds::from_nanos);
+    let scan = GateLevelMuxScan::new(&periods, Hertz::from_mega(1000.0), 64).unwrap();
+    let report = check_netlist_dataflow(scan.netlist());
     assert!(!report.has_errors(), "{}", report.render_text());
 }
 
