@@ -75,55 +75,25 @@ pub struct MnaSystem {
     pub a: Matrix,
     /// Right-hand side.
     pub z: Vec<f64>,
-    n_nodes: usize,
 }
 
 impl MnaSystem {
-    fn new(n_unknowns: usize, n_nodes: usize) -> Self {
-        MnaSystem {
-            a: Matrix::zeros(n_unknowns, n_unknowns),
-            z: vec![0.0; n_unknowns],
-            n_nodes,
+    /// Stamps a current source driving `amps` from node `a` into node `b`
+    /// (i.e. the current leaves `a` and enters `b`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is not a row of the system.
+    pub fn stamp_current(&mut self, a: NodeId, b: NodeId, amps: f64) {
+        if let Some(i) = self.row(a) {
+            self.z[i] -= amps;
+        }
+        if let Some(j) = self.row(b) {
+            self.z[j] += amps;
         }
     }
 
-    /// Stamps a conductance `g` between nodes `a` and `b`.
-    pub fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
-        self.conductance(self.row(a), self.row(b), g);
-    }
-
-    /// Stamps a current source driving `amps` from node `a` into node `b`
-    /// (i.e. the current leaves `a` and enters `b`).
-    pub fn stamp_current(&mut self, a: NodeId, b: NodeId, amps: f64) {
-        self.current(self.row(a), self.row(b), amps);
-    }
-
-    /// Stamps a transconductance: a current `g·(vc − vd)` flowing from
-    /// node `a` into node `b`.
-    pub fn stamp_transconductance(&mut self, a: NodeId, b: NodeId, c: NodeId, d: NodeId, g: f64) {
-        self.transconductance(self.row(a), self.row(b), self.row(c), self.row(d), g);
-    }
-
-    /// Stamps a voltage source occupying branch row `branch_row`
-    /// (absolute row index in the unknown vector) forcing
-    /// `v(pos) − v(neg) = volts`.
-    pub fn stamp_vsource(&mut self, branch_row: usize, pos: NodeId, neg: NodeId, volts: f64) {
-        assert!(
-            branch_row < self.a.n_cols(),
-            "branch row outside the system"
-        );
-        self.incidence(branch_row, self.row(pos), self.row(neg));
-        self.z[branch_row] = volts;
-    }
-
-    /// Number of unknown node voltages (rows before the branch block).
-    #[inline]
-    pub fn node_rows(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// The row of a caller-supplied node, checked against the matrix
-    /// (the row helpers below add entries without a column check).
+    /// The row of a caller-supplied node, checked against the matrix.
     fn row(&self, node: NodeId) -> Row {
         let row = row_of(node);
         assert!(
@@ -131,60 +101,6 @@ impl MnaSystem {
             "node outside the system"
         );
         row
-    }
-
-    // The row helpers: every stamp goes through these. Callers guarantee
-    // that every row is below `a.n_cols()`.
-
-    #[inline]
-    fn conductance(&mut self, a: Row, b: Row, g: f64) {
-        if let Some(i) = a {
-            self.a.accumulate(i, i, g);
-        }
-        if let Some(j) = b {
-            self.a.accumulate(j, j, g);
-        }
-        if let (Some(i), Some(j)) = (a, b) {
-            self.a.accumulate(i, j, -g);
-            self.a.accumulate(j, i, -g);
-        }
-    }
-
-    #[inline]
-    fn current(&mut self, a: Row, b: Row, amps: f64) {
-        if let Some(i) = a {
-            self.z[i] -= amps;
-        }
-        if let Some(j) = b {
-            self.z[j] += amps;
-        }
-    }
-
-    #[inline]
-    fn transconductance(&mut self, a: Row, b: Row, c: Row, d: Row, g: f64) {
-        for (row, sign) in [(a, 1.0), (b, -1.0)] {
-            if let Some(i) = row {
-                if let Some(k) = c {
-                    self.a.accumulate(i, k, sign * g);
-                }
-                if let Some(k) = d {
-                    self.a.accumulate(i, k, -sign * g);
-                }
-            }
-        }
-    }
-
-    /// The matrix half of a voltage source: its branch row and column.
-    #[inline]
-    fn incidence(&mut self, branch_row: usize, pos: Row, neg: Row) {
-        if let Some(i) = pos {
-            self.a.accumulate(i, branch_row, 1.0);
-            self.a.accumulate(branch_row, i, 1.0);
-        }
-        if let Some(j) = neg {
-            self.a.accumulate(j, branch_row, -1.0);
-            self.a.accumulate(branch_row, j, -1.0);
-        }
     }
 }
 
@@ -356,7 +272,6 @@ pub(crate) struct StampProgram<'c> {
     pattern: SlotPattern,
     /// `rows[i]`: the row of unknown `i` of the natural layout.
     rows: Vec<usize>,
-    n_nodes: usize,
 }
 
 impl<'c> StampProgram<'c> {
@@ -411,7 +326,6 @@ impl<'c> StampProgram<'c> {
             stamps,
             pattern,
             rows,
-            n_nodes: circuit.unknown_node_count(),
         }
     }
 
@@ -548,10 +462,12 @@ impl<'c> StampProgram<'c> {
         self.stamp_conductances(&mut a, time.is_some(), cap_companions, gmin);
         self.stamp_sources(&mut z, time, cap_companions, source_scale);
         self.stamp_nonlinear(&mut a, &mut z, x);
-        let mut sys = MnaSystem::new(n, self.n_nodes);
-        self.pattern.scatter(&a, &mut sys.a);
         z.truncate(n);
-        sys.z = z;
+        let mut sys = MnaSystem {
+            a: Matrix::zeros(n, n),
+            z,
+        };
+        self.pattern.scatter(&a, &mut sys.a);
         sys
     }
 
