@@ -24,11 +24,6 @@ use crate::{render_table, write_artifact};
 /// Seed shared by both runs (and CI's seeded chaos smoke soak).
 pub const WIRE_SEED: u64 = 42;
 
-/// In-process baseline from `BENCH_runtime_soak.json`, quoted in the
-/// report so the wire tier's TCP cost reads against something real.
-const BASELINE_QUIET_RPS: f64 = 1287.7;
-const BASELINE_CHAOS_RPS: f64 = 1319.5;
-
 fn wire_config(tag: &str, chaos: bool) -> WireSoakConfig {
     // Snapshots are scratch state for the crash-recover leg, not an
     // artifact: keep them out of the results directory.
@@ -119,11 +114,6 @@ pub fn run(out_dir: &Path) -> String {
     // ---- artifacts ----------------------------------------------------
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"seed\": {WIRE_SEED},");
-    let _ = writeln!(
-        json,
-        "  \"baseline_in_process\": {{\"quiet_rps\": {BASELINE_QUIET_RPS}, \
-         \"chaos_rps\": {BASELINE_CHAOS_RPS}}},"
-    );
     json.push_str(&json_block("clean", &clean));
     json.push_str(",\n");
     json.push_str(&json_block("chaos", &chaos));
@@ -183,12 +173,6 @@ pub fn run(out_dir: &Path) -> String {
         } else {
             "FAIL"
         }
-    );
-    let _ = writeln!(
-        report,
-        "wire tier vs in-process soak baseline: {:.0} req/s clean over TCP vs {:.0} \
-         in-process quiet; {:.0} req/s under chaos vs {:.0} in-process chaos",
-        clean.throughput_rps, BASELINE_QUIET_RPS, chaos.throughput_rps, BASELINE_CHAOS_RPS,
     );
     report
 }
